@@ -119,7 +119,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda-consist", type=float, default=None, help="consistency loss weight (default 1.0)")
     p.add_argument("--dropout", type=float, default=None, help="embedding dropout rate (default 0.1)")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (falls back to EVENT2VEC_SEED, then 0)")
-    p.add_argument("--threads", type=int, default=None, help="worker threads per batch (default 1)")
     p.add_argument("--checkpoint-every", type=int, default=None, help="snapshot cadence in epochs (0 = final only)")
     p.add_argument("--log", default=None, help="per-epoch JSONL log path")
     p.add_argument("--state", default=None, help="resumable train state path to maintain")
@@ -230,7 +229,6 @@ def _train_config_from_args(args) -> trainer.TrainConfig:
     put("lambda_consist", args.lambda_consist)
     put("dropout_rate", args.dropout)
     put("dim", args.dim)
-    put("threads", args.threads)
     put("checkpoint_every", args.checkpoint_every)
     put("seed", args.seed if args.seed is not None else (None if "seed" in fields else _resolve_seed(None)))
 

@@ -4,9 +4,17 @@ All operations act on the last axis and broadcast over leading axes.
 Hyperbolic space is parameterised by ``c > 0``: the model lives in the
 open ball of radius ``1/sqrt(c)`` (sectional curvature ``-c``).
 
-The ``_*_vjp`` helpers are closed-form vector-Jacobian products used by
-the training code. They are exact for the branch actually taken by the
-forward pass (norm clipping and ball projection are piecewise maps).
+The public functions validate their input (curvature, dimensions, ball
+membership). The ``_*_vjp`` helpers are closed-form vector-Jacobian
+products used by the training code. They are exact for the branch
+actually taken by the forward pass (norm clipping and ball projection
+are piecewise maps).
+
+The ``_*_row`` kernels at the end serve the per-step recurrences in
+:mod:`event2vec.model`. Each takes 1-D rows that the caller has already
+validated, checks nothing, and runs only the branch that the clip or
+projection takes. They repeat the arithmetic of their vectorized
+counterparts operation for operation, so their results are bit-identical.
 """
 
 from __future__ import annotations
@@ -89,6 +97,11 @@ def _sqnorm(x: np.ndarray) -> np.ndarray:
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sum(x * y, axis=-1, keepdims=True)
+
+
+def _ball_limit(c: float, margin: float = DEFAULT_BALL_MARGIN) -> float:
+    """Radius :func:`project_to_ball` pulls boundary points back to."""
+    return (1.0 - margin) / np.sqrt(c)
 
 
 def _check_in_ball(x: np.ndarray, c: float, name: str) -> None:
@@ -177,7 +190,7 @@ def project_to_ball(x, c: float, margin: float = DEFAULT_BALL_MARGIN):
         raise UsageError(f"project_to_ball needs c > 0, got {c}")
     if not (0.0 < margin < 1.0):
         raise UsageError(f"margin must lie in (0, 1), got {margin}")
-    limit = (1.0 - margin) / np.sqrt(c)
+    limit = _ball_limit(c, margin)
     r = np.sqrt(_sqnorm(x))
     scale = np.where(r > limit, limit / np.maximum(r, MIN_DENOM), 1.0)
     return x * scale
@@ -248,5 +261,55 @@ def _clip_norm_vjp(x, max_norm: float, g) -> np.ndarray:
 
 
 def _project_to_ball_vjp(x, c: float, margin: float, g) -> np.ndarray:
-    limit = (1.0 - margin) / np.sqrt(c)
-    return _clip_norm_vjp(x, limit, g)
+    return _clip_norm_vjp(x, _ball_limit(c, margin), g)
+
+
+# ---------------------------------------------------------------------------
+# Single-row kernels for the per-step recurrences (inputs already validated)
+# ---------------------------------------------------------------------------
+#
+# Dot products are ``np.add.reduce`` over the row: the same pairwise
+# summation ``np.sum`` runs, without its wrapper. ``max(den, MIN_DENOM)``
+# keeps ``np.maximum``'s NaN propagation because the NaN comes first.
+
+
+def _mobius_add_row(x: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
+    xy = np.add.reduce(x * y)
+    x2 = np.add.reduce(x * x)
+    y2 = np.add.reduce(y * y)
+    num = (1.0 + 2.0 * c * xy + c * y2) * x + (1.0 - c * x2) * y
+    den = 1.0 + 2.0 * c * xy + c * c * x2 * y2
+    return num / max(den, MIN_DENOM)
+
+
+def _clip_row(x: np.ndarray, limit: float) -> np.ndarray:
+    """``clip_norm`` / ``project_to_ball`` for one row; returns ``x`` itself when no clip fires."""
+    r = np.sqrt(np.add.reduce(x * x))
+    if r > limit:
+        return x * (limit / max(r, MIN_DENOM))
+    return x
+
+
+def _clip_row_vjp(x: np.ndarray, limit: float, g: np.ndarray) -> np.ndarray:
+    """``_clip_norm_vjp`` for one row; returns ``g`` itself when no clip fired."""
+    r = np.sqrt(np.add.reduce(x * x))
+    if r > limit:
+        safe_r = max(r, MIN_DENOM)
+        return (limit / safe_r) * (g - np.add.reduce(x * g) * x / (safe_r * safe_r))
+    return g
+
+
+def _mobius_add_row_vjp(x: np.ndarray, y: np.ndarray, c: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    xy = np.add.reduce(x * y)
+    x2 = np.add.reduce(x * x)
+    y2 = np.add.reduce(y * y)
+    a = 1.0 + 2.0 * c * xy + c * y2
+    b = 1.0 - c * x2
+    den = max(1.0 + 2.0 * c * xy + c * c * x2 * y2, MIN_DENOM)
+    out = (a * x + b * y) / den
+    gx_d = np.add.reduce(g * x)
+    gy_d = np.add.reduce(g * y)
+    go = np.add.reduce(g * out)
+    gx = (2.0 * c * gx_d * y + a * g - 2.0 * c * gy_d * x - go * (2.0 * c * y + 2.0 * c * c * y2 * x)) / den
+    gy = (2.0 * c * gx_d * (x + y) + b * g - go * (2.0 * c * x + 2.0 * c * c * x2 * y)) / den
+    return gx, gy

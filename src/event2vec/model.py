@@ -20,6 +20,7 @@ trajectories; no autodiff framework is involved.
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass
 
@@ -185,13 +186,19 @@ def forward(
 
     states = np.zeros((t_len + 1, dim))
     if g.is_hyperbolic:
+        c = g.c
         # Mask rescaling can push a row past the boundary; pull it back
         # before the Mobius step (identity for interior rows).
-        inputs = geo.project_to_ball(masked, g.c)
+        inputs = geo.project_to_ball(masked, c)
+        # The row kernels check nothing: validate every Mobius operand
+        # once per pass, inputs here and the stepped-from states below.
+        geo._check_in_ball(inputs, c, "event input")
+        limit = geo._ball_limit(c)
         raw_states = np.empty((t_len, dim))
         for t in range(t_len):
-            raw_states[t] = geo.mobius_add(states[t], inputs[t], g.c)
-            states[t + 1] = geo.project_to_ball(raw_states[t], g.c)
+            raw_states[t] = raw = geo._mobius_add_row(states[t], inputs[t], c)
+            states[t + 1] = geo._clip_row(raw, limit)
+        geo._check_in_ball(states[:-1], c, "state")
         return HiddenTrajectory(seq, states, inputs, masked, raw_states, masks)
 
     inputs = masked
@@ -200,8 +207,8 @@ def forward(
         states[1:] = raw_states
     else:
         for t in range(t_len):
-            raw_states[t] = states[t] + inputs[t]
-            states[t + 1] = geo.clip_norm(raw_states[t], g.max_norm)
+            raw_states[t] = raw = states[t] + inputs[t]
+            states[t + 1] = geo._clip_row(raw, g.max_norm)
     return HiddenTrajectory(seq, states, inputs, masked, raw_states, masks)
 
 
@@ -345,7 +352,18 @@ def total_loss(
 
 
 class _GradAccumulator:
-    def __init__(self, params: ModelParams):
+    def __init__(self, params: ModelParams, out: dict[str, np.ndarray] | None = None):
+        if out is not None:
+            if sorted(out) != ["decoder_bias", "decoder_weights", "embeddings"] or any(
+                out[k].shape != getattr(params, k).shape for k in out
+            ):
+                raise UsageError("out must be a gradient dict from a model of the same shape")
+            for arr in out.values():
+                arr.fill(0.0)
+            self.embeddings = out["embeddings"]
+            self.decoder_weights = out["decoder_weights"]
+            self.decoder_bias = out["decoder_bias"]
+            return
         self.embeddings = np.zeros_like(params.embeddings)
         self.decoder_weights = (
             np.zeros_like(params.decoder_weights) if params.has_decoder else None
@@ -373,10 +391,11 @@ def _backward_through_trajectory(
     t_len = traj.length
     if g.is_hyperbolic:
         c = g.c
+        limit = geo._ball_limit(c)
         g_inputs = np.empty_like(traj.inputs)
         for t in range(t_len - 1, -1, -1):
-            gr = geo._project_to_ball_vjp(traj.raw_states[t], c, geo.DEFAULT_BALL_MARGIN, g_states[t + 1])
-            gh_prev, g_inputs[t] = geo._mobius_add_vjp(traj.states[t], traj.inputs[t], c, gr)
+            gr = geo._clip_row_vjp(traj.raw_states[t], limit, g_states[t + 1])
+            gh_prev, g_inputs[t] = geo._mobius_add_row_vjp(traj.states[t], traj.inputs[t], c, gr)
             g_states[t] += gh_prev
         g_masked = geo._project_to_ball_vjp(traj.masked, c, geo.DEFAULT_BALL_MARGIN, g_inputs)
     else:
@@ -384,7 +403,7 @@ def _backward_through_trajectory(
         if clipped:
             g_masked = np.empty_like(traj.inputs)
             for t in range(t_len - 1, -1, -1):
-                gr = geo._clip_norm_vjp(traj.raw_states[t], g.max_norm, g_states[t + 1])
+                gr = geo._clip_row_vjp(traj.raw_states[t], g.max_norm, g_states[t + 1])
                 g_states[t] += gr
                 g_masked[t] = gr
         else:
@@ -488,12 +507,20 @@ def gradients(
     lambda_recon: float = 1.0,
     lambda_consist: float = 1.0,
     dropout: DropoutSpec | None = None,
+    out: dict[str, np.ndarray] | None = None,
 ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    """Combined loss and its exact gradients for one sequence."""
+    """Combined loss and its exact gradients for one sequence.
+
+    ``out`` takes the gradient dict of an earlier call on a model of the
+    same shape: its arrays are zeroed, filled and returned instead of new
+    ones. At large vocabularies the dense (V, d) buffers dominate, and
+    reusing them keeps a training loop from allocating them anew for
+    every sequence.
+    """
     if not params.has_decoder:
         raise UsageError("training requires a decoder; build params with with_decoder=True")
     pass_a, pass_b, clean = _passes(params, seq, dropout)
-    acc = _GradAccumulator(params)
+    acc = _GradAccumulator(params, out)
 
     g_a = np.zeros_like(pass_a.states)
     pred = _add_pred_grads(params, pass_a, g_a, acc)
@@ -527,9 +554,9 @@ def gradients(
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(params: ModelParams, path: str) -> None:
-    """Write params as JSON. Floats keep full precision (shortest repr)."""
-    doc = {
+def model_to_doc(params: ModelParams) -> dict:
+    """The JSON document a checkpoint holds; train states embed the same one."""
+    return {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "geometry": params.geometry.to_dict(),
         "dim": params.dim,
@@ -538,19 +565,17 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         "decoder_weights": None if params.decoder_weights is None else params.decoder_weights.tolist(),
         "decoder_bias": None if params.decoder_bias is None else params.decoder_bias.tolist(),
     }
-    atomic_write_json(path, doc, indent=None)
 
 
-def load_checkpoint(path: str) -> ModelParams:
-    import json as _json
+def model_from_doc(doc, path: str) -> ModelParams:
+    """Parse and fully validate a :func:`model_to_doc` document read from ``path``.
 
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = _json.load(f)
-    except (OSError, _json.JSONDecodeError) as e:
-        raise DataFormatError(f"cannot read checkpoint {path}: {e}") from None
+    Every problem raises :class:`DataFormatError` naming ``path`` and the
+    field: schema, missing keys, shapes, ``dim``, non-finite values, and
+    hyperbolic embedding rows outside the open ball.
+    """
     if not isinstance(doc, dict):
-        raise DataFormatError(f"{path}: checkpoint must be a JSON object")
+        raise DataFormatError(f"{path}: the model document must be a JSON object")
     version = doc.get("schema_version")
     if version != CHECKPOINT_SCHEMA_VERSION:
         raise DataFormatError(f"{path}: unsupported schema_version {version!r}")
@@ -571,10 +596,34 @@ def load_checkpoint(path: str) -> ModelParams:
             decoder_weights=None if dec_w is None else np.asarray(dec_w, dtype=np.float64),
             decoder_bias=None if dec_b is None else np.asarray(dec_b, dtype=np.float64),
         )
+        dim = int(doc["dim"])
     except (UsageError, ValueError, TypeError) as e:
         raise DataFormatError(f"{path}: malformed checkpoint: {e}") from None
-    if params.dim != int(doc["dim"]):
+    if params.dim != dim:
         raise DataFormatError(f"{path}: dim field does not match embedding shape")
-    if not np.all(np.isfinite(params.embeddings)):
-        raise DataFormatError(f"{path}: embeddings contain non-finite values")
+    for name in ("embeddings", "decoder_weights", "decoder_bias"):
+        arr = getattr(params, name)
+        if arr is not None and not np.all(np.isfinite(arr)):
+            raise DataFormatError(f"{path}: {name} contain non-finite values")
+    if geometry.is_hyperbolic:
+        outside = np.flatnonzero(geometry.c * np.sum(params.embeddings**2, axis=1) >= 1.0)
+        if outside.size:
+            raise DataFormatError(
+                f"{path}: embeddings row {outside[0]} ({vocab.names[outside[0]]!r}) lies outside "
+                f"the open ball of radius {geometry.ball_radius:g}"
+            )
     return params
+
+
+def save_checkpoint(params: ModelParams, path: str) -> None:
+    """Write params as JSON. Floats keep full precision (shortest repr)."""
+    atomic_write_json(path, model_to_doc(params), indent=None)
+
+
+def load_checkpoint(path: str) -> ModelParams:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        raise DataFormatError(f"cannot read checkpoint {path}: {e}") from None
+    return model_from_doc(doc, path)

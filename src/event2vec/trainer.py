@@ -12,22 +12,22 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
 
 from . import geometry as geo
-from .dataset import EventDataset, Vocabulary
+from .dataset import EventDataset
 from .errors import DataFormatError, NumericalError, UsageError
 from .fileio import atomic_write_json
 from .model import (
-    CHECKPOINT_SCHEMA_VERSION,
     DropoutSpec,
     ModelParams,
     gradients,
     init_params,
+    model_from_doc,
+    model_to_doc,
 )
 from .seeding import derive_seed, rng_for
 
@@ -49,7 +49,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     checkpoint_every: int = 0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -68,8 +67,6 @@ class TrainConfig:
             raise UsageError("adam_eps must be positive")
         if self.checkpoint_every < 0:
             raise UsageError("checkpoint_every must be >= 0")
-        if self.threads < 1:
-            raise UsageError("threads must be >= 1")
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -173,15 +170,7 @@ class TrainState:
 def save_train_state(path: str, state: TrainState) -> None:
     doc = {
         "schema_version": TRAIN_STATE_SCHEMA_VERSION,
-        "model": {
-            "schema_version": CHECKPOINT_SCHEMA_VERSION,
-            "geometry": state.params.geometry.to_dict(),
-            "dim": state.params.dim,
-            "vocab": list(state.params.vocab.names),
-            "embeddings": state.params.embeddings.tolist(),
-            "decoder_weights": state.params.decoder_weights.tolist(),
-            "decoder_bias": state.params.decoder_bias.tolist(),
-        },
+        "model": model_to_doc(state.params),
         "adam": {
             "step": state.adam.step,
             "m": {k: a.tolist() for k, a in state.adam.m.items()},
@@ -193,6 +182,12 @@ def save_train_state(path: str, state: TrainState) -> None:
 
 
 def load_train_state(path: str) -> TrainState:
+    """Read a :func:`save_train_state` file, validating every value in it.
+
+    The model goes through the checkpoint validator; the Adam moments must
+    match the parameter shapes and be finite, with ``v >= 0``, and the step
+    and epoch counters must be non-negative.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -200,16 +195,11 @@ def load_train_state(path: str) -> TrainState:
         raise DataFormatError(f"cannot read train state {path}: {e}") from None
     if not isinstance(doc, dict) or doc.get("schema_version") != TRAIN_STATE_SCHEMA_VERSION:
         raise DataFormatError(f"{path}: unsupported train state document")
+    params = model_from_doc(doc.get("model"), path)
+    if not params.has_decoder:
+        raise DataFormatError(f"{path}: train state model has no decoder")
+    arrs = _param_arrays(params)
     try:
-        mdoc = doc["model"]
-        params = ModelParams(
-            geometry=geo.Geometry.from_dict(mdoc["geometry"]),
-            vocab=Vocabulary(mdoc["vocab"]),
-            embeddings=np.asarray(mdoc["embeddings"], dtype=np.float64),
-            decoder_weights=np.asarray(mdoc["decoder_weights"], dtype=np.float64),
-            decoder_bias=np.asarray(mdoc["decoder_bias"], dtype=np.float64),
-        )
-        arrs = _param_arrays(params)
         adam = AdamState(
             params=arrs,
             m={k: np.asarray(v, dtype=np.float64) for k, v in doc["adam"]["m"].items()},
@@ -217,11 +207,21 @@ def load_train_state(path: str) -> TrainState:
             step=int(doc["adam"]["step"]),
         )
         next_epoch = int(doc["next_epoch"])
-    except (KeyError, TypeError, ValueError, UsageError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise DataFormatError(f"{path}: malformed train state: {e}") from None
-    for k, a in adam.m.items():
-        if k not in arrs or a.shape != arrs[k].shape or adam.v[k].shape != arrs[k].shape:
-            raise DataFormatError(f"{path}: moment buffer {k!r} does not match parameter shape")
+    if adam.step < 0 or next_epoch < 0:
+        raise DataFormatError(f"{path}: adam.step and next_epoch must be >= 0")
+    for name, moments in (("m", adam.m), ("v", adam.v)):
+        if set(moments) != set(arrs):
+            raise DataFormatError(f"{path}: adam.{name} must hold exactly {', '.join(sorted(arrs))}")
+        for k, a in moments.items():
+            if a.shape != arrs[k].shape:
+                raise DataFormatError(f"{path}: moment buffer adam.{name}.{k} does not match parameter shape")
+            if not np.all(np.isfinite(a)):
+                raise DataFormatError(f"{path}: adam.{name}.{k} contain non-finite values")
+    for k, a in adam.v.items():
+        if np.any(a < 0.0):
+            raise DataFormatError(f"{path}: adam.v.{k} contain negative values")
     return TrainState(params=params, adam=adam, next_epoch=next_epoch)
 
 
@@ -238,11 +238,11 @@ def _param_arrays(params: ModelParams) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _sequence_work(params, sequence, config: TrainConfig, epoch: int, index: int):
+def _sequence_work(params, sequence, config: TrainConfig, epoch: int, index: int, out=None):
     spec = None
     if config.dropout_rate > 0.0:
         spec = DropoutSpec(config.dropout_rate, derive_seed(config.seed, "dropout", epoch, index))
-    return gradients(params, sequence, config.lambda_recon, config.lambda_consist, spec)
+    return gradients(params, sequence, config.lambda_recon, config.lambda_consist, spec, out)
 
 
 def train(
@@ -279,66 +279,51 @@ def train(
 
     n = len(dataset)
     log: TrainLog = []
-    pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
-    try:
-        for epoch in range(start_epoch, config.epochs):
-            t0 = time.perf_counter()
-            order = rng_for(config.seed, "shuffle", epoch).permutation(n)
-            sums = np.zeros(4)  # pred, recon, consist, total
-            for b_start in range(0, n, config.batch_size):
-                batch = order[b_start : b_start + config.batch_size]
-                if pool is not None:
-                    results = list(
-                        pool.map(
-                            lambda i: _sequence_work(params, dataset.sequences[i], config, epoch, int(i)),
-                            batch,
-                        )
-                    )
-                else:
-                    results = [
-                        _sequence_work(params, dataset.sequences[int(i)], config, epoch, int(i))
-                        for i in batch
-                    ]
-                # Deterministic reduction: sum in batch index order.
-                batch_grads: dict[str, np.ndarray] = {}
-                for lb, g in results:
-                    sums += (lb.pred, lb.recon, lb.consist, lb.total)
-                    for k, arr in g.items():
-                        if k in batch_grads:
-                            batch_grads[k] += arr
-                        else:
-                            batch_grads[k] = arr
-                inv = 1.0 / len(batch)
-                for k in batch_grads:
-                    batch_grads[k] *= inv
-                if not np.isfinite(sums[3]) or any(
-                    not np.all(np.isfinite(a)) for a in batch_grads.values()
-                ):
-                    raise NumericalError(
-                        f"non-finite loss or gradient at epoch {epoch}, batch {b_start // config.batch_size}"
-                    )
-                adam_step(adam, batch_grads, config)
-                if config.geometry.is_hyperbolic:
-                    emb = adam.params["embeddings"]
-                    emb[...] = geo.project_to_ball(emb, config.geometry.c)
-            record = EpochRecord(
-                epoch=epoch,
-                mean_total=float(sums[3] / n),
-                mean_pred=float(sums[0] / n),
-                mean_recon=float(sums[1] / n),
-                mean_consist=float(sums[2] / n),
-                wall_seconds=time.perf_counter() - t0,
-            )
-            log.append(record)
-            if log_stream is not None:
-                log_stream.write(json.dumps(record.to_dict()) + "\n")
-                log_stream.flush()
-            done = epoch + 1
-            if config.checkpoint_every > 0 and done % config.checkpoint_every == 0 and done < config.epochs:
-                _snapshot(params, adam, done, checkpoint_path, state_path)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+    seq_grads = None  # one sequence's gradients; the buffers are reused for every sequence
+    for epoch in range(start_epoch, config.epochs):
+        t0 = time.perf_counter()
+        order = rng_for(config.seed, "shuffle", epoch).permutation(n)
+        sums = np.zeros(4)  # pred, recon, consist, total
+        for b_start in range(0, n, config.batch_size):
+            batch = order[b_start : b_start + config.batch_size]
+            # Deterministic reduction: sum in batch index order.
+            batch_grads: dict[str, np.ndarray] = {}
+            for i in batch:
+                lb, seq_grads = _sequence_work(params, dataset.sequences[int(i)], config, epoch, int(i), seq_grads)
+                sums += (lb.pred, lb.recon, lb.consist, lb.total)
+                for k, arr in seq_grads.items():
+                    if k in batch_grads:
+                        batch_grads[k] += arr
+                    else:
+                        batch_grads[k] = arr.copy()
+            inv = 1.0 / len(batch)
+            for k in batch_grads:
+                batch_grads[k] *= inv
+            if not np.isfinite(sums[3]) or any(
+                not np.all(np.isfinite(a)) for a in batch_grads.values()
+            ):
+                raise NumericalError(
+                    f"non-finite loss or gradient at epoch {epoch}, batch {b_start // config.batch_size}"
+                )
+            adam_step(adam, batch_grads, config)
+            if config.geometry.is_hyperbolic:
+                emb = adam.params["embeddings"]
+                emb[...] = geo.project_to_ball(emb, config.geometry.c)
+        record = EpochRecord(
+            epoch=epoch,
+            mean_total=float(sums[3] / n),
+            mean_pred=float(sums[0] / n),
+            mean_recon=float(sums[1] / n),
+            mean_consist=float(sums[2] / n),
+            wall_seconds=time.perf_counter() - t0,
+        )
+        log.append(record)
+        if log_stream is not None:
+            log_stream.write(json.dumps(record.to_dict()) + "\n")
+            log_stream.flush()
+        done = epoch + 1
+        if config.checkpoint_every > 0 and done % config.checkpoint_every == 0 and done < config.epochs:
+            _snapshot(params, adam, done, checkpoint_path, state_path)
 
     _snapshot(params, adam, config.epochs, checkpoint_path, state_path)
     return params, log

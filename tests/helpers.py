@@ -1,8 +1,12 @@
-"""Shared test utilities: tiny models, ball samplers, finite-difference gradients."""
+"""Shared test utilities: tiny models, ball samplers, finite-difference gradients,
+JSON corruption, and the per-step reference recurrence built from the public
+geometry functions."""
 
 import numpy as np
 
-from event2vec import Geometry, ModelParams, Vocabulary, project_to_ball, total_loss
+from event2vec import Geometry, ModelParams, Vocabulary, clip_norm, mobius_add, project_to_ball, total_loss
+from event2vec import geometry as geo
+from event2vec.model import HiddenTrajectory, _dropout_masks
 
 PARAM_ARRAYS = ("embeddings", "decoder_weights", "decoder_bias")
 
@@ -49,6 +53,13 @@ def max_rel_err(analytic: dict, numeric: dict, floor: float = 1e-4) -> float:
     return worst
 
 
+def poke_first(nested: list, value) -> None:
+    """Overwrite the first scalar of a nested JSON list in place."""
+    while isinstance(nested[0], list):
+        nested = nested[0]
+    nested[0] = value
+
+
 def ball_points(rng: np.random.Generator, n: int, dim: int, c: float,
                 max_frac: float = 0.85) -> np.ndarray:
     """Random directions with radii up to max_frac of the ball radius."""
@@ -56,3 +67,69 @@ def ball_points(rng: np.random.Generator, n: int, dim: int, c: float,
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     radii = rng.uniform(0.0, max_frac, size=(n, 1)) / np.sqrt(c)
     return v * radii
+
+
+# ---------------------------------------------------------------------------
+# Reference recurrence
+# ---------------------------------------------------------------------------
+#
+# The recurrence as first written: every step calls the public, validating
+# geometry functions on 1-row arrays. ``model.forward`` and
+# ``model._backward_through_trajectory`` run the same arithmetic through
+# unchecked row kernels and must match these byte for byte.
+
+
+def reference_forward(params, seq, dropout=None) -> HiddenTrajectory:
+    seq = np.asarray(seq, dtype=np.int64)
+    t_len, dim = len(seq), params.dim
+    g = params.geometry
+    emb_rows = params.embeddings[seq]
+    masks = None
+    if dropout is not None and dropout.rate > 0.0:
+        masks = _dropout_masks(dropout, t_len, dim)
+        masked = emb_rows * masks
+    else:
+        masked = emb_rows.copy()
+    states = np.zeros((t_len + 1, dim))
+    if g.is_hyperbolic:
+        inputs = project_to_ball(masked, g.c)
+        raw_states = np.empty((t_len, dim))
+        for t in range(t_len):
+            raw_states[t] = mobius_add(states[t], inputs[t], g.c)
+            states[t + 1] = project_to_ball(raw_states[t], g.c)
+        return HiddenTrajectory(seq, states, inputs, masked, raw_states, masks)
+    inputs = masked
+    raw_states = np.cumsum(inputs, axis=0)
+    if g.max_norm is None or not np.any(np.sum(raw_states**2, axis=1) > g.max_norm**2):
+        states[1:] = raw_states
+    else:
+        for t in range(t_len):
+            raw_states[t] = states[t] + inputs[t]
+            states[t + 1] = clip_norm(raw_states[t], g.max_norm)
+    return HiddenTrajectory(seq, states, inputs, masked, raw_states, masks)
+
+
+def reference_backward(params, traj, g_states, acc) -> None:
+    g = params.geometry
+    t_len = traj.length
+    if g.is_hyperbolic:
+        c = g.c
+        g_inputs = np.empty_like(traj.inputs)
+        for t in range(t_len - 1, -1, -1):
+            gr = geo._project_to_ball_vjp(traj.raw_states[t], c, geo.DEFAULT_BALL_MARGIN, g_states[t + 1])
+            gh_prev, g_inputs[t] = geo._mobius_add_vjp(traj.states[t], traj.inputs[t], c, gr)
+            g_states[t] += gh_prev
+        g_masked = geo._project_to_ball_vjp(traj.masked, c, geo.DEFAULT_BALL_MARGIN, g_inputs)
+    else:
+        clipped = g.max_norm is not None and not np.array_equal(traj.raw_states, traj.states[1:])
+        if clipped:
+            g_masked = np.empty_like(traj.inputs)
+            for t in range(t_len - 1, -1, -1):
+                gr = geo._clip_norm_vjp(traj.raw_states[t], g.max_norm, g_states[t + 1])
+                g_states[t] += gr
+                g_masked[t] = gr
+        else:
+            g_masked = np.cumsum(g_states[1:][::-1], axis=0)[::-1]
+    if traj.masks is not None:
+        g_masked = g_masked * traj.masks
+    np.add.at(acc.embeddings, traj.sequence, g_masked)

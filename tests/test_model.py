@@ -331,6 +331,18 @@ class TestGradients:
         for key in g1:
             assert np.array_equal(g1[key], g2[key])
 
+    def test_out_buffers_are_reused_and_match_fresh_gradients(self):
+        params = tiny_params(23, HYPER)
+        spec = DropoutSpec(0.3, seed=2)
+        _, first = gradients(params, np.array([4, 1, 1]), dropout=spec)
+        _, fresh = gradients(params, np.array([0, 1, 2, 3]), dropout=spec)
+        _, reused = gradients(params, np.array([0, 1, 2, 3]), dropout=spec, out=first)
+        assert all(reused[key] is first[key] for key in first)
+        for key in fresh:
+            assert reused[key].tobytes() == fresh[key].tobytes()
+        with pytest.raises(UsageError):
+            gradients(tiny_params(23, HYPER, dim=5), np.array([0, 1]), out=first)
+
     def test_gradients_require_decoder(self):
         params = init_params(Vocabulary(["a", "b"]), 3, EUCLID, with_decoder=False)
         with pytest.raises(UsageError):

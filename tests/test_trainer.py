@@ -4,6 +4,7 @@ definition, bit-level determinism, epoch accounting, and exact resume.
 
 import json
 import io
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from event2vec.trainer import (
     save_train_state,
     train,
 )
+from helpers import poke_first
 
 
 def toy_dataset(n: int = 12, seed: int = 0) -> EventDataset:
@@ -69,7 +71,6 @@ class TestTrainConfig:
             {"adam_beta2": 0.0},
             {"adam_eps": 0.0},
             {"checkpoint_every": -1},
-            {"threads": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -161,14 +162,6 @@ class TestTrain:
         p1, _ = train(ds, TrainConfig(**{**SMALL, "seed": 0}))
         p2, _ = train(ds, TrainConfig(**{**SMALL, "seed": 1}))
         assert not np.array_equal(p1.embeddings, p2.embeddings)
-
-    def test_thread_count_does_not_change_results(self):
-        ds = toy_dataset()
-        p1, l1 = train(ds, TrainConfig(**SMALL, threads=1))
-        p4, l4 = train(ds, TrainConfig(**SMALL, threads=4))
-        assert np.array_equal(p1.embeddings, p4.embeddings)
-        assert np.array_equal(p1.decoder_weights, p4.decoder_weights)
-        assert [r.mean_total for r in l1] == [r.mean_total for r in l4]
 
     def test_loss_decreases_on_learnable_data(self):
         ds = toy_dataset(n=20)
@@ -318,6 +311,44 @@ class TestResume:
         state_path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError):
             load_train_state(str(state_path))
+
+    @staticmethod
+    def _corrupted_state(tmp_path, corrupt) -> str:
+        state_path = tmp_path / "state.json"
+        train(toy_dataset(), TrainConfig(**SMALL), state_path=str(state_path))
+        doc = json.loads(state_path.read_text())
+        corrupt(doc)
+        state_path.write_text(json.dumps(doc))
+        return str(state_path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("embeddings", float("nan")),
+        ("decoder_bias", float("inf")),
+        ("adam.m.decoder_weights", float("nan")),
+        ("adam.v.embeddings", float("inf")),
+        ("adam.v.decoder_bias", -1e-3),
+    ])
+    def test_load_rejects_invalid_values(self, tmp_path, field, value):
+        # Errors name model fields bare and Adam buffers as adam.<m|v>.<param>.
+        def corrupt(doc):
+            *buffer, name = field.split(".")
+            owner = doc[buffer[0]][buffer[1]] if buffer else doc["model"]
+            poke_first(owner[name], value)
+
+        with pytest.raises(DataFormatError, match=re.escape(field)):
+            load_train_state(self._corrupted_state(tmp_path, corrupt))
+
+    def test_load_rejects_missing_moment_buffer(self, tmp_path):
+        path = self._corrupted_state(tmp_path, lambda doc: doc["adam"]["v"].pop("decoder_bias"))
+        with pytest.raises(DataFormatError, match=re.escape("adam.v")):
+            load_train_state(path)
+
+    @pytest.mark.parametrize("key", ["step", "next_epoch"])
+    def test_load_rejects_negative_counters(self, tmp_path, key):
+        path = self._corrupted_state(
+            tmp_path, lambda doc: (doc["adam"] if key == "step" else doc).__setitem__(key, -1))
+        with pytest.raises(DataFormatError, match=key):
+            load_train_state(path)
 
     def test_snapshot_written_when_paths_given(self, tmp_path):
         ds = toy_dataset()
