@@ -1,8 +1,16 @@
 """Quantitative evaluations: additivity decay, analogies, silhouette,
-nearest neighbors, and PCA export."""
+nearest neighbors, and PCA export.
+
+The rankers score the whole embedding table at once (cosines from
+per-row norms and dot products, or Poincare distances) and select with
+:func:`_top_k`, which sorts only the rows that can reach the top k and
+returns them in the order a full stable sort would: best first, ties by
+row id.
+"""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +29,51 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     if nu < 1e-15 or nv < 1e-15:
         return 0.0
     return float(np.dot(u, v) / (nu * nv))
+
+
+def _cosines(table: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """:func:`_cosine` of every row of ``table`` with ``target``.
+
+    Each row's norm and dot product come from the same einsum loop, so
+    equal rows get equal scores (a BLAS matrix-vector product does not
+    guarantee that). A row or target with norm < 1e-15 scores 0.
+    """
+    t_norm = np.linalg.norm(target)
+    if t_norm < 1e-15:
+        return np.zeros(len(table))
+    norms = np.sqrt(np.einsum("ij,ij->i", table, table))
+    dots = np.einsum("ij,j->i", table, target)
+    return np.divide(dots, norms * t_norm, out=np.zeros(len(table)), where=norms >= 1e-15)
+
+
+def _top_k(names, key: np.ndarray, scores: np.ndarray, skip: set[int], k: int) -> list[tuple[str, float]]:
+    """The k rows with the highest ``key``, ties by row id, leaving out the ids in ``skip``.
+
+    Returns ``(name, score)`` pairs, the same prefix as a full
+    ``np.argsort(-key, kind="stable")``. Only the rows whose key reaches
+    the m-th best (m = k + |skip|) are sorted; a NaN key ranks last.
+    """
+    # Array methods rather than the np.* wrappers: on a 45-row table the
+    # wrappers' dispatch costs more than the selection itself.
+    m = k + len(skip)
+    kth = math.nan
+    if m < len(key):
+        neg = -key
+        neg.partition(m - 1)
+        kth = -neg[m - 1]
+    if math.isnan(kth):  # m >= V, or fewer than m keys are not NaN: any row may be needed
+        order = (-key).argsort(kind="stable")
+    else:
+        rows = (key >= kth).nonzero()[0]
+        order = rows[(-key[rows]).argsort(kind="stable")]
+    out = []
+    for i in order.tolist():
+        if i in skip:
+            continue
+        out.append((names[i], float(scores[i])))
+        if len(out) == k:
+            break
+    return out
 
 
 @dataclass(frozen=True)
@@ -110,18 +163,10 @@ def analogy(
         target = geo.mobius_add(geo.mobius_add(e_a, -e_b, g.c), e_c, g.c)
         scores = -geo.poincare_distance(params.embeddings, target, g.c)
     else:
-        target = e_a - e_b + e_c
-        scores = np.array([_cosine(row, target) for row in params.embeddings])
+        scores = _cosines(params.embeddings, e_a - e_b + e_c)
     excluded = frozenset({a, b, c}) if exclude_queries else frozenset()
-    order = np.argsort(-scores, kind="stable")
-    ranked = []
-    for i in order:
-        name = params.vocab.names[int(i)]
-        if name in excluded:
-            continue
-        ranked.append((name, float(scores[int(i)])))
-        if len(ranked) == k:
-            break
+    skip = set(ids) if exclude_queries else set()
+    ranked = _top_k(params.vocab.names, scores, scores, skip, k)
     return AnalogyResult(query=(a, b, c), ranked=tuple(ranked), excluded=excluded)
 
 
@@ -189,23 +234,28 @@ def silhouette(
         raise UsageError("silhouette needs at least 2 distinct labels")
 
     dist = _pairwise_distances(x, metric, c)
-    members = {lab: np.array([i for i, l in enumerate(labels) if l == lab]) for lab in unique}
-    singletons = [lab for lab, idx in members.items() if len(idx) == 1]
+    column = {lab: j for j, lab in enumerate(unique)}
+    label_ids = np.array([column[lab] for lab in labels])
+    rows = np.arange(n)
+    onehot = np.zeros((n, len(unique)))
+    onehot[rows, label_ids] = 1.0
+    sizes = onehot.sum(axis=0)
+    singletons = [lab for lab, size in zip(unique, sizes) if size == 1]
     if singletons:
         warnings.warn(
             f"singleton clusters scored 0 by convention: {', '.join(singletons)}", stacklevel=2
         )
 
-    scores = np.zeros(n)
-    for i in range(n):
-        own = members[labels[i]]
-        if len(own) == 1:
-            continue
-        a = dist[i, own].sum() / (len(own) - 1)
-        b = min(dist[i, members[lab]].mean() for lab in unique if lab != labels[i])
-        denom = max(a, b)
-        scores[i] = 0.0 if denom <= 0.0 else (b - a) / denom
-    per_cluster = {lab: float(scores[idx].mean()) for lab, idx in members.items()}
+    # sums[i, j]: point i's summed distance to cluster j (itself included).
+    sums = dist @ onehot
+    own_size = sizes[label_ids]
+    a = sums[rows, label_ids] / np.maximum(own_size - 1, 1)
+    means = sums / sizes
+    means[rows, label_ids] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    scores = np.divide(b - a, denom, out=np.zeros(n), where=(own_size > 1) & (denom > 0.0))
+    per_cluster = {lab: float(scores[label_ids == j].mean()) for j, lab in enumerate(unique)}
     return SilhouetteReport(
         overall=float(scores.mean()),
         per_cluster=per_cluster,
@@ -227,20 +277,12 @@ def nearest_neighbors(params: ModelParams, event: str, k: int) -> list[tuple[str
     if k == 0:
         return []
     g = params.geometry
+    query = params.embeddings[query_id]
     if g.is_hyperbolic:
-        scores = geo.poincare_distance(params.embeddings, params.embeddings[query_id], g.c)
-        order = np.argsort(scores, kind="stable")
-    else:
-        scores = np.array([_cosine(row, params.embeddings[query_id]) for row in params.embeddings])
-        order = np.argsort(-scores, kind="stable")
-    out = []
-    for i in order:
-        if int(i) == query_id:
-            continue
-        out.append((params.vocab.names[int(i)], float(scores[int(i)])))
-        if len(out) == k:
-            break
-    return out
+        dist = geo.poincare_distance(params.embeddings, query, g.c)
+        return _top_k(params.vocab.names, -dist, dist, {query_id}, k)
+    scores = _cosines(params.embeddings, query)
+    return _top_k(params.vocab.names, scores, scores, {query_id}, k)
 
 
 def pca_project(points, out_dim: int = 2) -> tuple[np.ndarray, np.ndarray]:

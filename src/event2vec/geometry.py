@@ -134,7 +134,11 @@ def poincare_distance(x, y, c: float):
     Returns an array with the last axis reduced (a scalar for 1-D input).
     """
     x, y = _as_f64(x), _as_f64(y)
-    m = mobius_add(-x, y, c)
+    return _distance_of_difference(mobius_add(-x, y, c), c)
+
+
+def _distance_of_difference(m: np.ndarray, c: float) -> np.ndarray:
+    """:func:`poincare_distance` given the Mobius difference ``m = (-x) (+)_c y``."""
     s = np.sqrt(c)
     r = np.sqrt(np.sum(m * m, axis=-1))
     return (2.0 / s) * np.arctanh(np.clip(s * r, 0.0, ATANH_BOUND))
@@ -240,11 +244,14 @@ def _dist_sq_weight(r: np.ndarray, c: float) -> np.ndarray:
     return np.where(sr < 1e-3, series, exact)
 
 
-def _poincare_dist_sq_vjp(x, y, c: float, g) -> tuple[np.ndarray, np.ndarray]:
-    """Backpropagate a scalar-per-row ``g`` through ``d_c(x, y)^2``."""
+def _poincare_dist_sq_vjp(x, y, m, c: float, g) -> tuple[np.ndarray, np.ndarray]:
+    """Backpropagate a scalar-per-row ``g`` through ``d_c(x, y)^2``.
+
+    ``m`` is the Mobius difference ``(-x) (+)_c y`` the forward value
+    was computed from.
+    """
     x, y = _as_f64(x), _as_f64(y)
     g = np.asarray(g, dtype=np.float64)[..., None] if np.ndim(g) == np.ndim(x) - 1 else _as_f64(g)
-    m = mobius_add(-x, y, c)
     r = np.sqrt(_sqnorm(m))
     gm = g * _dist_sq_weight(r, c) * m
     gnx, gy = _mobius_add_vjp(-x, y, c, gm)

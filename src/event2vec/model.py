@@ -20,7 +20,6 @@ trajectories; no autodiff framework is involved.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ import numpy as np
 from . import geometry as geo
 from .dataset import Vocabulary
 from .errors import DataFormatError, UsageError
-from .fileio import atomic_write_json
+from .fileio import atomic_write_json, int_field, read_json
 from .seeding import derive_seed, rng_for
 
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -455,10 +454,11 @@ def _add_recon_grads(
     if g.is_hyperbolic:
         c = g.c
         back = geo.mobius_add(h_cur, -emb, c)
-        d = geo.poincare_distance(back, h_prev, c)
+        m = geo.mobius_add(-back, h_prev, c)
+        d = geo._distance_of_difference(m, c)
         value = float(np.sum(d * d))
         if weight != 0.0:
-            g_back, g_hprev = geo._poincare_dist_sq_vjp(back, h_prev, c, np.full(len(d), weight))
+            g_back, g_hprev = geo._poincare_dist_sq_vjp(back, h_prev, m, c, np.full(len(d), weight))
             g_hcur, g_negemb = geo._mobius_add_vjp(h_cur, -emb, c, g_back)
             g_states[1:] += g_hcur
             g_states[:-1] += g_hprev
@@ -485,10 +485,11 @@ def _add_consist_grads(
     g = params.geometry
     a, b = traj_a.states[1:], traj_b.states[1:]
     if g.is_hyperbolic:
-        d = geo.poincare_distance(a, b, g.c)
+        m = geo.mobius_add(-a, b, g.c)
+        d = geo._distance_of_difference(m, g.c)
         value = float(np.sum(d * d))
         if weight != 0.0:
-            ga, gb = geo._poincare_dist_sq_vjp(a, b, g.c, np.full(len(d), weight))
+            ga, gb = geo._poincare_dist_sq_vjp(a, b, m, g.c, np.full(len(d), weight))
             g_a[1:] += ga
             g_b[1:] += gb
         return value
@@ -596,10 +597,9 @@ def model_from_doc(doc, path: str) -> ModelParams:
             decoder_weights=None if dec_w is None else np.asarray(dec_w, dtype=np.float64),
             decoder_bias=None if dec_b is None else np.asarray(dec_b, dtype=np.float64),
         )
-        dim = int(doc["dim"])
-    except (UsageError, ValueError, TypeError) as e:
+    except (UsageError, ValueError, TypeError, OverflowError) as e:
         raise DataFormatError(f"{path}: malformed checkpoint: {e}") from None
-    if params.dim != dim:
+    if params.dim != int_field(doc["dim"], path, "dim"):
         raise DataFormatError(f"{path}: dim field does not match embedding shape")
     for name in ("embeddings", "decoder_weights", "decoder_bias"):
         arr = getattr(params, name)
@@ -621,9 +621,4 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelParams:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataFormatError(f"cannot read checkpoint {path}: {e}") from None
-    return model_from_doc(doc, path)
+    return model_from_doc(read_json(path, "checkpoint"), path)

@@ -20,7 +20,7 @@ import numpy as np
 from . import geometry as geo
 from .dataset import EventDataset
 from .errors import DataFormatError, NumericalError, UsageError
-from .fileio import atomic_write_json
+from .fileio import atomic_write_json, int_field, read_json
 from .model import (
     DropoutSpec,
     ModelParams,
@@ -188,11 +188,7 @@ def load_train_state(path: str) -> TrainState:
     match the parameter shapes and be finite, with ``v >= 0``, and the step
     and epoch counters must be non-negative.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataFormatError(f"cannot read train state {path}: {e}") from None
+    doc = read_json(path, "train state")
     if not isinstance(doc, dict) or doc.get("schema_version") != TRAIN_STATE_SCHEMA_VERSION:
         raise DataFormatError(f"{path}: unsupported train state document")
     params = model_from_doc(doc.get("model"), path)
@@ -200,15 +196,13 @@ def load_train_state(path: str) -> TrainState:
         raise DataFormatError(f"{path}: train state model has no decoder")
     arrs = _param_arrays(params)
     try:
-        adam = AdamState(
-            params=arrs,
-            m={k: np.asarray(v, dtype=np.float64) for k, v in doc["adam"]["m"].items()},
-            v={k: np.asarray(v, dtype=np.float64) for k, v in doc["adam"]["v"].items()},
-            step=int(doc["adam"]["step"]),
-        )
-        next_epoch = int(doc["next_epoch"])
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        m = {k: np.asarray(a, dtype=np.float64) for k, a in doc["adam"]["m"].items()}
+        v = {k: np.asarray(a, dtype=np.float64) for k, a in doc["adam"]["v"].items()}
+        step, next_epoch = doc["adam"]["step"], doc["next_epoch"]
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise DataFormatError(f"{path}: malformed train state: {e}") from None
+    adam = AdamState(params=arrs, m=m, v=v, step=int_field(step, path, "adam.step"))
+    next_epoch = int_field(next_epoch, path, "next_epoch")
     if adam.step < 0 or next_epoch < 0:
         raise DataFormatError(f"{path}: adam.step and next_epoch must be >= 0")
     for name, moments in (("m", adam.m), ("v", adam.v)):

@@ -1,11 +1,21 @@
 """Shared test utilities: tiny models, ball samplers, finite-difference gradients,
-JSON corruption, and the per-step reference recurrence built from the public
-geometry functions."""
+JSON corruption, the per-step reference recurrence built from the public
+geometry functions, and the per-row reference rankers and silhouette."""
 
 import numpy as np
 
-from event2vec import Geometry, ModelParams, Vocabulary, clip_norm, mobius_add, project_to_ball, total_loss
+from event2vec import (
+    Geometry,
+    ModelParams,
+    Vocabulary,
+    clip_norm,
+    mobius_add,
+    poincare_distance,
+    project_to_ball,
+    total_loss,
+)
 from event2vec import geometry as geo
+from event2vec.evaluation import _cosine, _pairwise_distances
 from event2vec.model import HiddenTrajectory, _dropout_masks
 
 PARAM_ARRAYS = ("embeddings", "decoder_weights", "decoder_bias")
@@ -133,3 +143,71 @@ def reference_backward(params, traj, g_states, acc) -> None:
     if traj.masks is not None:
         g_masked = g_masked * traj.masks
     np.add.at(acc.embeddings, traj.sequence, g_masked)
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluations
+# ---------------------------------------------------------------------------
+#
+# The rankers and the silhouette as first written: one ``_cosine`` call or
+# one Python iteration per row. ``evaluation.analogy``,
+# ``evaluation.nearest_neighbors`` and ``evaluation.silhouette`` score whole
+# arrays at once and must return the same names, with scores that agree to
+# rounding.
+
+
+def _reference_take(names, order, scores, skip, k):
+    out = []
+    for i in order:
+        if int(i) in skip:
+            continue
+        out.append((names[int(i)], float(scores[int(i)])))
+        if len(out) == k:
+            break
+    return out
+
+
+def reference_analogy(params, a, b, c, k, exclude_queries=True):
+    ids = [params.vocab.id_of(name) for name in (a, b, c)]
+    e_a, e_b, e_c = (params.embeddings[i] for i in ids)
+    g = params.geometry
+    if g.is_hyperbolic:
+        target = mobius_add(mobius_add(e_a, -e_b, g.c), e_c, g.c)
+        scores = -poincare_distance(params.embeddings, target, g.c)
+    else:
+        target = e_a - e_b + e_c
+        scores = np.array([_cosine(row, target) for row in params.embeddings])
+    skip = set(ids) if exclude_queries else set()
+    return _reference_take(params.vocab.names, np.argsort(-scores, kind="stable"), scores, skip, k)
+
+
+def reference_nearest_neighbors(params, event, k):
+    query_id = params.vocab.id_of(event)
+    query = params.embeddings[query_id]
+    g = params.geometry
+    if g.is_hyperbolic:
+        scores = poincare_distance(params.embeddings, query, g.c)
+        order = np.argsort(scores, kind="stable")
+    else:
+        scores = np.array([_cosine(row, query) for row in params.embeddings])
+        order = np.argsort(-scores, kind="stable")
+    return _reference_take(params.vocab.names, order, scores, {query_id}, k)
+
+
+def reference_silhouette(points, labels, metric, c=1.0):
+    """(overall, per_cluster) from the per-point loop."""
+    x = np.asarray(points, dtype=np.float64)
+    labels = [str(label) for label in labels]
+    unique = sorted(set(labels))
+    dist = _pairwise_distances(x, metric, c)
+    members = {lab: np.array([i for i, l in enumerate(labels) if l == lab]) for lab in unique}
+    scores = np.zeros(len(x))
+    for i in range(len(x)):
+        own = members[labels[i]]
+        if len(own) == 1:
+            continue
+        a = dist[i, own].sum() / (len(own) - 1)
+        b = min(dist[i, members[lab]].mean() for lab in unique if lab != labels[i])
+        denom = max(a, b)
+        scores[i] = 0.0 if denom <= 0.0 else (b - a) / denom
+    return float(scores.mean()), {lab: float(scores[idx].mean()) for lab, idx in members.items()}

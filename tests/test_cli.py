@@ -119,6 +119,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(state) in err and "embeddings" in err
 
+    @pytest.mark.parametrize("token", ["Infinity", "NaN", "1e400"])
+    def test_non_finite_checkpoint_dim_is_data_error(self, workdir, tmp_path, capsys, token):
+        ckpt = tmp_path / "model.json"
+        doc = json.loads(open(workdir["model"]).read())
+        doc["dim"] = "@"
+        ckpt.write_text(json.dumps(doc).replace('"@"', token))
+        capsys.readouterr()
+        assert run(["neighbors", "--model", str(ckpt), "--event", "marriage"]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "dim" in err
+
+    def test_non_utf8_checkpoint_is_data_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.json"
+        ckpt.write_bytes(b"\xff\xfe{}")
+        assert run(["neighbors", "--model", str(ckpt), "--event", "marriage"]) == 2
+        assert str(ckpt) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["Infinity", "1e400"])
+    @pytest.mark.parametrize("field", ["next_epoch", "adam.step"])
+    def test_non_finite_train_state_counter_is_data_error(self, workdir, tmp_path, capsys, field, token):
+        state = tmp_path / "state.json"
+        base = ["train", "--data", workdir["data"], "--dim", "4", "--seed", "0"]
+        assert run([*base, "--out", str(tmp_path / "a.json"), "--epochs", "1", "--state", str(state)]) == 0
+        doc = json.loads(state.read_text())
+        owner = doc["adam"] if field == "adam.step" else doc
+        owner[field.split(".")[-1]] = "@"
+        state.write_text(json.dumps(doc).replace('"@"', token))
+        capsys.readouterr()
+        assert run([*base, "--out", str(tmp_path / "b.json"), "--epochs", "2", "--resume", str(state)]) == 2
+        err = capsys.readouterr().err
+        assert str(state) in err and field in err
+
     def test_reports_go_to_stdout_logs_to_stderr(self, workdir, tmp_path, capsys):
         out = str(tmp_path / "m.json")
         assert (

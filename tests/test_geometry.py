@@ -246,14 +246,14 @@ def test_dist_sq_vjp_matches_fd(c):
     rng = np.random.default_rng(int(c * 102))
     x = ball_points(rng, 1, 4, c, max_frac=0.5)[0]
     y = ball_points(rng, 1, 4, c, max_frac=0.5)[0]
-    gx, gy = _poincare_dist_sq_vjp(x, y, c, 1.0)
+    gx, gy = _poincare_dist_sq_vjp(x, y, mobius_add(-x, y, c), c, 1.0)
     assert np.allclose(gx, _fd_vec(lambda v: poincare_distance(v, y, c) ** 2, x, 1.0), atol=1e-6)
     assert np.allclose(gy, _fd_vec(lambda v: poincare_distance(x, v, c) ** 2, y, 1.0), atol=1e-6)
 
 
 def test_dist_sq_vjp_coincident_points_is_zero():
     x = np.array([0.2, -0.1])
-    gx, gy = _poincare_dist_sq_vjp(x, x.copy(), 1.0, 1.0)
+    gx, gy = _poincare_dist_sq_vjp(x, x.copy(), mobius_add(-x, x, 1.0), 1.0, 1.0)
     assert np.allclose(gx, 0.0, atol=1e-12)
     assert np.allclose(gy, 0.0, atol=1e-12)
 
