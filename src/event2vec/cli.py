@@ -17,7 +17,7 @@ import numpy as np
 from . import baseline, corpus as corpus_mod, evaluation, lifepath, trainer
 from .dataset import load_jsonl
 from .errors import DataFormatError, NumericalError, UsageError
-from .fileio import atomic_write_json, atomic_write_text
+from .fileio import atomic_write_json, atomic_write_text, read_json
 from .geometry import EUCLIDEAN, HYPERBOLIC, Geometry
 from .model import load_checkpoint, save_checkpoint
 
@@ -210,13 +210,16 @@ def _cmd_gen_life(args) -> int:
 def _train_config_from_args(args) -> trainer.TrainConfig:
     fields: dict = {}
     if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as f:
-                fields = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            raise DataFormatError(f"cannot read --config {args.config}: {e}") from None
+        fields = read_json(args.config, "--config")
         if not isinstance(fields, dict):
             raise DataFormatError(f"--config {args.config} must hold a JSON object")
+        # A bad value in the file is a data error (exit 2); an unknown field
+        # stays a usage error (exit 1), raised with the flags below.
+        known = {k: v for k, v in fields.items() if k in trainer.TrainConfig.__dataclass_fields__}
+        try:
+            trainer.TrainConfig.from_dict(known)
+        except (ValueError, TypeError) as e:
+            raise DataFormatError(f"--config {args.config}: {e}") from None
 
     def put(key, value):
         if value is not None:

@@ -120,7 +120,11 @@ def load_jsonl(path: str, vocab: Vocabulary | None = None) -> EventDataset:
     """
     name_sequences: list[list[str]] = []
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
+        try:
+            lines = f.read().split("\n")
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{path}: not UTF-8 text: {e}") from None
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue

@@ -8,6 +8,8 @@ import os
 import tempfile
 from typing import Any
 
+import numpy as np
+
 from .errors import DataFormatError
 
 
@@ -99,3 +101,15 @@ def int_field(value, path: str, field: str) -> int:
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise DataFormatError(f"{path}: {field} must be an integer, got {value!r}") from None
+
+
+def array_field(value, path: str, field: str) -> np.ndarray:
+    """``value`` as a float64 array for the document field ``field`` of ``path``.
+
+    Values numpy cannot convert, such as a 400-digit integer, raise
+    :class:`DataFormatError` naming the field.
+    """
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise DataFormatError(f"{path}: {field} must be an array of numbers: {e}") from None

@@ -51,12 +51,12 @@ class Geometry:
         if self.kind not in (EUCLIDEAN, HYPERBOLIC):
             raise UsageError(f"unknown geometry kind: {self.kind!r}")
         if self.kind == HYPERBOLIC:
-            if not (self.c > 0.0):
-                raise UsageError(f"hyperbolic geometry needs c > 0, got {self.c}")
+            if not (0.0 < self.c < np.inf):
+                raise UsageError(f"hyperbolic geometry needs a finite c > 0, got {self.c}")
             if self.max_norm is not None:
                 raise UsageError("max_norm applies to euclidean geometry only")
-        elif self.max_norm is not None and not (self.max_norm > 0.0):
-            raise UsageError(f"max_norm must be positive, got {self.max_norm}")
+        elif self.max_norm is not None and not (0.0 < self.max_norm < np.inf):
+            raise UsageError(f"max_norm must be a finite positive number, got {self.max_norm}")
 
     @property
     def is_hyperbolic(self) -> bool:
@@ -78,6 +78,8 @@ class Geometry:
 
     @staticmethod
     def from_dict(d: dict) -> "Geometry":
+        if not isinstance(d, dict):
+            raise UsageError(f"a geometry must be a JSON object, got {d!r}")
         kind = d.get("kind")
         if kind == HYPERBOLIC:
             return Geometry(HYPERBOLIC, c=float(d.get("c", 1.0)))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import EventDataset, Vocabulary
 from .errors import DataFormatError, UsageError
-from .fileio import atomic_write_json
+from .fileio import atomic_write_json, read_json
 from .seeding import derive_seed
 
 
@@ -51,8 +51,8 @@ class TransitionGraph:
             for dst, w in targets:
                 if dst not in members:
                     raise UsageError(f"transition target {dst!r} (from {src!r}) is not in events")
-                if not (w > 0.0):
-                    raise UsageError(f"transition weight {src!r}->{dst!r} must be positive, got {w}")
+                if not (0.0 < w < np.inf):
+                    raise UsageError(f"transition weight {src!r}->{dst!r} must be finite and positive, got {w}")
         dead_ends = [
             e for e in self.events if e != self.terminal and not self.transitions.get(e)
         ]
@@ -93,19 +93,18 @@ class TransitionGraph:
                 max_len=int(doc.get("max_len", 16)),
                 description=str(doc.get("description", "")),
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataFormatError(f"malformed transition graph: {e}") from None
 
 
 def load_graph(path: str) -> TransitionGraph:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataFormatError(f"cannot read graph {path}: {e}") from None
+    doc = read_json(path, "graph")
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: graph file must hold a JSON object")
-    return TransitionGraph.from_dict(doc)
+    try:
+        return TransitionGraph.from_dict(doc)
+    except DataFormatError as e:
+        raise DataFormatError(f"{path}: {e}") from None
 
 
 def save_graph(graph: TransitionGraph, path: str) -> None:

@@ -28,7 +28,7 @@ import numpy as np
 from . import geometry as geo
 from .dataset import Vocabulary
 from .errors import DataFormatError, UsageError
-from .fileio import atomic_write_json, int_field, read_json
+from .fileio import array_field, atomic_write_json, int_field, read_json
 from .seeding import derive_seed, rng_for
 
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -126,6 +126,20 @@ def init_params(
     dec_w = np.zeros((len(vocab), dim)) if with_decoder else None
     dec_b = np.zeros(len(vocab)) if with_decoder else None
     return ModelParams(geometry, vocab, emb, dec_w, dec_b)
+
+
+def param_arrays(params: ModelParams) -> dict[str, np.ndarray]:
+    """The trainable arrays by name; gradients, Adam and train states use these keys."""
+    return {
+        "embeddings": params.embeddings,
+        "decoder_weights": params.decoder_weights,
+        "decoder_bias": params.decoder_bias,
+    }
+
+
+def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
+    """A zero gradient for every trainable array of a model with a decoder."""
+    return {name: np.zeros_like(arr) for name, arr in param_arrays(params).items()}
 
 
 @dataclass
@@ -350,35 +364,8 @@ def total_loss(
     )
 
 
-class _GradAccumulator:
-    def __init__(self, params: ModelParams, out: dict[str, np.ndarray] | None = None):
-        if out is not None:
-            if sorted(out) != ["decoder_bias", "decoder_weights", "embeddings"] or any(
-                out[k].shape != getattr(params, k).shape for k in out
-            ):
-                raise UsageError("out must be a gradient dict from a model of the same shape")
-            for arr in out.values():
-                arr.fill(0.0)
-            self.embeddings = out["embeddings"]
-            self.decoder_weights = out["decoder_weights"]
-            self.decoder_bias = out["decoder_bias"]
-            return
-        self.embeddings = np.zeros_like(params.embeddings)
-        self.decoder_weights = (
-            np.zeros_like(params.decoder_weights) if params.has_decoder else None
-        )
-        self.decoder_bias = np.zeros_like(params.decoder_bias) if params.has_decoder else None
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        out = {"embeddings": self.embeddings}
-        if self.decoder_weights is not None:
-            out["decoder_weights"] = self.decoder_weights
-            out["decoder_bias"] = self.decoder_bias
-        return out
-
-
 def _backward_through_trajectory(
-    params: ModelParams, traj: HiddenTrajectory, g_states: np.ndarray, acc: _GradAccumulator
+    params: ModelParams, traj: HiddenTrajectory, g_states: np.ndarray, grads: dict[str, np.ndarray]
 ) -> None:
     """Push accumulated state gradients back to the embedding table.
 
@@ -411,11 +398,11 @@ def _backward_through_trajectory(
             g_masked = np.cumsum(g_states[1:][::-1], axis=0)[::-1]
     if traj.masks is not None:
         g_masked = g_masked * traj.masks
-    np.add.at(acc.embeddings, traj.sequence, g_masked)
+    np.add.at(grads["embeddings"], traj.sequence, g_masked)
 
 
 def _add_pred_grads(
-    params: ModelParams, traj: HiddenTrajectory, g_states: np.ndarray, acc: _GradAccumulator
+    params: ModelParams, traj: HiddenTrajectory, g_states: np.ndarray, grads: dict[str, np.ndarray]
 ) -> float:
     """Cross-entropy value plus its gradients (decoder directly, states via g_states)."""
     if traj.length < 2:
@@ -430,8 +417,8 @@ def _add_pred_grads(
 
     g_logits = np.exp(logp)
     g_logits[rows, targets] -= 1.0
-    acc.decoder_weights += g_logits.T @ z
-    acc.decoder_bias += g_logits.sum(axis=0)
+    grads["decoder_weights"] += g_logits.T @ z
+    grads["decoder_bias"] += g_logits.sum(axis=0)
     g_z = g_logits @ params.decoder_weights
     if params.geometry.is_hyperbolic:
         g_states[1:-1] += geo._log_map_origin_vjp(states, params.geometry.c, g_z)
@@ -445,7 +432,7 @@ def _add_recon_grads(
     clean: HiddenTrajectory,
     weight: float,
     g_states: np.ndarray,
-    acc: _GradAccumulator,
+    grads: dict[str, np.ndarray],
 ) -> float:
     """Reconstruction value and gradients (states via g_states, embeddings direct)."""
     g = params.geometry
@@ -462,7 +449,7 @@ def _add_recon_grads(
             g_hcur, g_negemb = geo._mobius_add_vjp(h_cur, -emb, c, g_back)
             g_states[1:] += g_hcur
             g_states[:-1] += g_hprev
-            np.add.at(acc.embeddings, clean.sequence, -g_negemb)
+            np.add.at(grads["embeddings"], clean.sequence, -g_negemb)
         return value
     delta = h_cur - emb - h_prev
     value = float(np.sum(delta * delta))
@@ -470,7 +457,7 @@ def _add_recon_grads(
         gd = 2.0 * weight * delta
         g_states[1:] += gd
         g_states[:-1] -= gd
-        np.add.at(acc.embeddings, clean.sequence, -gd)
+        np.add.at(grads["embeddings"], clean.sequence, -gd)
     return value
 
 
@@ -508,36 +495,36 @@ def gradients(
     lambda_recon: float = 1.0,
     lambda_consist: float = 1.0,
     dropout: DropoutSpec | None = None,
-    out: dict[str, np.ndarray] | None = None,
+    into: dict[str, np.ndarray] | None = None,
 ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    """Combined loss and its exact gradients for one sequence.
+    """Combined loss for one sequence, and its exact gradients added into ``into``.
 
-    ``out`` takes the gradient dict of an earlier call on a model of the
-    same shape: its arrays are zeroed, filled and returned instead of new
-    ones. At large vocabularies the dense (V, d) buffers dominate, and
-    reusing them keeps a training loop from allocating them anew for
-    every sequence.
+    ``into`` is a :func:`zero_grads` dict, or a running total built from
+    one: each gradient term adds straight into its arrays, which are
+    returned. A training loop passes its batch total, so no per-sequence
+    (V, d) buffer is made. Without ``into`` the gradients land in fresh
+    zeros.
     """
     if not params.has_decoder:
         raise UsageError("training requires a decoder; build params with with_decoder=True")
     pass_a, pass_b, clean = _passes(params, seq, dropout)
-    acc = _GradAccumulator(params, out)
+    grads = zero_grads(params) if into is None else into
 
     g_a = np.zeros_like(pass_a.states)
-    pred = _add_pred_grads(params, pass_a, g_a, acc)
+    pred = _add_pred_grads(params, pass_a, g_a, grads)
 
     if pass_b is not None:
         g_b = np.zeros_like(pass_b.states)
         g_clean = np.zeros_like(clean.states)
         consist = _add_consist_grads(params, pass_a, pass_b, lambda_consist, g_a, g_b)
-        recon = _add_recon_grads(params, clean, lambda_recon, g_clean, acc)
-        _backward_through_trajectory(params, pass_a, g_a, acc)
-        _backward_through_trajectory(params, pass_b, g_b, acc)
-        _backward_through_trajectory(params, clean, g_clean, acc)
+        recon = _add_recon_grads(params, clean, lambda_recon, g_clean, grads)
+        _backward_through_trajectory(params, pass_a, g_a, grads)
+        _backward_through_trajectory(params, pass_b, g_b, grads)
+        _backward_through_trajectory(params, clean, g_clean, grads)
     else:
         consist = 0.0
-        recon = _add_recon_grads(params, clean, lambda_recon, g_a, acc)
-        _backward_through_trajectory(params, pass_a, g_a, acc)
+        recon = _add_recon_grads(params, clean, lambda_recon, g_a, grads)
+        _backward_through_trajectory(params, pass_a, g_a, grads)
 
     losses = LossBreakdown(
         pred=pred,
@@ -547,7 +534,7 @@ def gradients(
         lambda_recon=lambda_recon,
         lambda_consist=lambda_consist,
     )
-    return losses, acc.as_dict()
+    return losses, grads
 
 
 # ---------------------------------------------------------------------------
@@ -584,25 +571,19 @@ def model_from_doc(doc, path: str) -> ModelParams:
     missing = [k for k in required if k not in doc]
     if missing:
         raise DataFormatError(f"{path}: missing checkpoint keys: {', '.join(missing)}")
+    arrays = {
+        name: None if doc.get(name) is None else array_field(doc[name], path, name)
+        for name in ("embeddings", "decoder_weights", "decoder_bias")
+    }
     try:
         geometry = geo.Geometry.from_dict(doc["geometry"])
         vocab = Vocabulary(doc["vocab"])
-        emb = np.asarray(doc["embeddings"], dtype=np.float64)
-        dec_w = doc.get("decoder_weights")
-        dec_b = doc.get("decoder_bias")
-        params = ModelParams(
-            geometry=geometry,
-            vocab=vocab,
-            embeddings=emb,
-            decoder_weights=None if dec_w is None else np.asarray(dec_w, dtype=np.float64),
-            decoder_bias=None if dec_b is None else np.asarray(dec_b, dtype=np.float64),
-        )
+        params = ModelParams(geometry=geometry, vocab=vocab, **arrays)
     except (UsageError, ValueError, TypeError, OverflowError) as e:
         raise DataFormatError(f"{path}: malformed checkpoint: {e}") from None
     if params.dim != int_field(doc["dim"], path, "dim"):
         raise DataFormatError(f"{path}: dim field does not match embedding shape")
-    for name in ("embeddings", "decoder_weights", "decoder_bias"):
-        arr = getattr(params, name)
+    for name, arr in param_arrays(params).items():
         if arr is not None and not np.all(np.isfinite(arr)):
             raise DataFormatError(f"{path}: {name} contain non-finite values")
     if geometry.is_hyperbolic:

@@ -11,6 +11,8 @@ an uninterrupted run would have performed.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import IO
@@ -20,7 +22,7 @@ import numpy as np
 from . import geometry as geo
 from .dataset import EventDataset
 from .errors import DataFormatError, NumericalError, UsageError
-from .fileio import atomic_write_json, int_field, read_json
+from .fileio import array_field, atomic_write_json, int_field, read_json
 from .model import (
     DropoutSpec,
     ModelParams,
@@ -28,6 +30,8 @@ from .model import (
     init_params,
     model_from_doc,
     model_to_doc,
+    param_arrays,
+    zero_grads,
 )
 from .seeding import derive_seed, rng_for
 
@@ -51,6 +55,17 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "batch_size", "dim", "seed", "checkpoint_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "lambda_recon", "lambda_consist", "dropout_rate",
+                     "adam_beta1", "adam_beta2", "adam_eps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise UsageError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.geometry, geo.Geometry):
+            raise UsageError(f"geometry must be a Geometry, got {self.geometry!r}")
         if self.epochs < 0:
             raise UsageError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -194,12 +209,12 @@ def load_train_state(path: str) -> TrainState:
     params = model_from_doc(doc.get("model"), path)
     if not params.has_decoder:
         raise DataFormatError(f"{path}: train state model has no decoder")
-    arrs = _param_arrays(params)
+    arrs = param_arrays(params)
     try:
-        m = {k: np.asarray(a, dtype=np.float64) for k, a in doc["adam"]["m"].items()}
-        v = {k: np.asarray(a, dtype=np.float64) for k, a in doc["adam"]["v"].items()}
+        m = {k: array_field(a, path, f"adam.m.{k}") for k, a in doc["adam"]["m"].items()}
+        v = {k: array_field(a, path, f"adam.v.{k}") for k, a in doc["adam"]["v"].items()}
         step, next_epoch = doc["adam"]["step"], doc["next_epoch"]
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
+    except (KeyError, TypeError, AttributeError) as e:
         raise DataFormatError(f"{path}: malformed train state: {e}") from None
     adam = AdamState(params=arrs, m=m, v=v, step=int_field(step, path, "adam.step"))
     next_epoch = int_field(next_epoch, path, "next_epoch")
@@ -219,24 +234,16 @@ def load_train_state(path: str) -> TrainState:
     return TrainState(params=params, adam=adam, next_epoch=next_epoch)
 
 
-def _param_arrays(params: ModelParams) -> dict[str, np.ndarray]:
-    return {
-        "embeddings": params.embeddings,
-        "decoder_weights": params.decoder_weights,
-        "decoder_bias": params.decoder_bias,
-    }
-
-
 # ---------------------------------------------------------------------------
 # The loop
 # ---------------------------------------------------------------------------
 
 
-def _sequence_work(params, sequence, config: TrainConfig, epoch: int, index: int, out=None):
+def _sequence_work(params, sequence, config: TrainConfig, epoch: int, index: int, into):
     spec = None
     if config.dropout_rate > 0.0:
         spec = DropoutSpec(config.dropout_rate, derive_seed(config.seed, "dropout", epoch, index))
-    return gradients(params, sequence, config.lambda_recon, config.lambda_consist, spec, out)
+    return gradients(params, sequence, config.lambda_recon, config.lambda_consist, spec, into)
 
 
 def train(
@@ -268,31 +275,26 @@ def train(
         start_epoch = resume_state.next_epoch
     else:
         params = init_params(dataset.vocab, config.dim, config.geometry, config.seed)
-        adam = AdamState.for_params(_param_arrays(params))
+        adam = AdamState.for_params(param_arrays(params))
         start_epoch = 0
 
     n = len(dataset)
     log: TrainLog = []
-    seq_grads = None  # one sequence's gradients; the buffers are reused for every sequence
+    batch_grads = zero_grads(params)
     for epoch in range(start_epoch, config.epochs):
         t0 = time.perf_counter()
         order = rng_for(config.seed, "shuffle", epoch).permutation(n)
         sums = np.zeros(4)  # pred, recon, consist, total
         for b_start in range(0, n, config.batch_size):
             batch = order[b_start : b_start + config.batch_size]
-            # Deterministic reduction: sum in batch index order.
-            batch_grads: dict[str, np.ndarray] = {}
+            for arr in batch_grads.values():
+                arr.fill(0.0)
+            # Deterministic reduction: sequences add into the total in batch index order.
             for i in batch:
-                lb, seq_grads = _sequence_work(params, dataset.sequences[int(i)], config, epoch, int(i), seq_grads)
+                lb, _ = _sequence_work(params, dataset.sequences[int(i)], config, epoch, int(i), batch_grads)
                 sums += (lb.pred, lb.recon, lb.consist, lb.total)
-                for k, arr in seq_grads.items():
-                    if k in batch_grads:
-                        batch_grads[k] += arr
-                    else:
-                        batch_grads[k] = arr.copy()
-            inv = 1.0 / len(batch)
-            for k in batch_grads:
-                batch_grads[k] *= inv
+            for arr in batch_grads.values():
+                arr *= 1.0 / len(batch)
             if not np.isfinite(sums[3]) or any(
                 not np.all(np.isfinite(a)) for a in batch_grads.values()
             ):

@@ -142,7 +142,7 @@ def reference_backward(params, traj, g_states, acc) -> None:
             g_masked = np.cumsum(g_states[1:][::-1], axis=0)[::-1]
     if traj.masks is not None:
         g_masked = g_masked * traj.masks
-    np.add.at(acc.embeddings, traj.sequence, g_masked)
+    np.add.at(acc["embeddings"], traj.sequence, g_masked)
 
 
 # ---------------------------------------------------------------------------

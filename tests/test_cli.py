@@ -151,6 +151,94 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(state) in err and field in err
 
+    @pytest.mark.parametrize("text,field", [
+        ('{"learning_rate": Infinity}', "learning_rate"),
+        ('{"learning_rate": 1e400}', "learning_rate"),
+        ('{"epochs": 1e400}', "epochs"),
+        ('{"dim": 2.5}', "dim"),
+        ('{"batch_size": true}', "batch_size"),
+        ('{"geometry": {"kind": "hyperbolic", "c": 1e400}}', "c"),
+    ])
+    def test_bad_config_value_is_data_error(self, workdir, tmp_path, capsys, text, field):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "m.json"
+        assert run(["train", "--data", workdir["data"], "--out", str(out), "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and field in err
+        assert not out.exists()
+
+    def test_non_utf8_config_and_data_are_data_errors(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"epochs": 1, "\xff": 2}')
+        out = str(tmp_path / "m.json")
+        assert run(["train", "--data", workdir["data"], "--out", out, "--config", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
+        data = tmp_path / "bad.jsonl"
+        data.write_bytes(b'["a", "b\xff"]\n')
+        assert run(["train", "--data", str(data), "--out", out]) == 2
+        assert str(data) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--lr", "inf"],
+        ["--max-norm", "inf"],
+        ["--geometry", "hyperbolic", "--c", "inf"],
+    ])
+    def test_non_finite_flag_is_usage_error(self, workdir, tmp_path, capsys, flags):
+        out = tmp_path / "m.json"
+        assert run(["train", "--data", workdir["data"], "--out", str(out), "--epochs", "1", *flags]) == 1
+        assert "inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where,token,named", [
+        ("max_len", "Infinity", "max_len"),
+        ("max_len", "1e400", "integer"),
+        ("weight", "Infinity", "transitions.birth[0][1]"),
+        ("weight", "1e400", "transition weight 'birth'->"),
+    ])
+    def test_non_finite_graph_value_is_data_error(self, tmp_path, capsys, where, token, named):
+        doc = default_graph().to_dict()
+        if where == "max_len":
+            doc["max_len"] = "@"
+        else:
+            doc["transitions"]["birth"][0][1] = "@"
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(doc).replace('"@"', token))
+        out = tmp_path / "walks.jsonl"
+        assert run(["gen-life", "--graph", str(graph), "--n", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(graph) in err and named in err
+        assert not out.exists()
+
+    def test_huge_integer_in_an_array_names_the_field(self, workdir, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        base = ["train", "--data", workdir["data"], "--dim", "4", "--seed", "0"]
+        assert run([*base, "--out", str(tmp_path / "a.json"), "--epochs", "1", "--state", str(state)]) == 0
+        huge = "1" + "0" * 400
+        doc = json.loads(open(workdir["model"]).read())
+        poke_first(doc["decoder_bias"], "@")
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text(json.dumps(doc).replace('"@"', huge))
+        doc = json.loads(state.read_text())
+        poke_first(doc["adam"]["v"]["decoder_bias"], "@")
+        state.write_text(json.dumps(doc).replace('"@"', huge))
+        capsys.readouterr()
+        assert run(["neighbors", "--model", str(ckpt), "--event", "marriage"]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "decoder_bias" in err
+        assert run([*base, "--out", str(tmp_path / "b.json"), "--epochs", "2", "--resume", str(state)]) == 2
+        err = capsys.readouterr().err
+        assert str(state) in err and "adam.v.decoder_bias" in err
+
+    def test_non_object_geometry_in_checkpoint_is_data_error(self, workdir, tmp_path, capsys):
+        doc = json.loads(open(workdir["model"]).read())
+        doc["geometry"] = 5
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text(json.dumps(doc))
+        assert run(["neighbors", "--model", str(ckpt), "--event", "marriage"]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "geometry" in err
+
     def test_reports_go_to_stdout_logs_to_stderr(self, workdir, tmp_path, capsys):
         out = str(tmp_path / "m.json")
         assert (

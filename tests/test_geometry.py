@@ -195,6 +195,10 @@ def test_geometry_dataclass_validation_and_round_trip():
         Geometry("hyperbolic", max_norm=1.0)
     with pytest.raises(UsageError):
         Geometry("euclidean", max_norm=-2.0)
+    with pytest.raises(UsageError):
+        Geometry("hyperbolic", c=float("inf"))
+    with pytest.raises(UsageError):
+        Geometry("euclidean", max_norm=float("inf"))
 
     for g in (Geometry("euclidean"), Geometry("euclidean", max_norm=10.0),
               Geometry("hyperbolic", c=0.5)):

@@ -55,6 +55,7 @@ class TestTransitionGraph:
             {"transitions": {"a": (("zz", 1.0),)}},
             {"transitions": {"a": (("b", 0.0),)}},
             {"transitions": {"a": (("b", -2.0),)}},
+            {"transitions": {"a": (("b", float("inf")),)}},
         ],
     )
     def test_rejects_malformed_graphs(self, kwargs):

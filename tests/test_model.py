@@ -34,7 +34,7 @@ from event2vec import (
     save_checkpoint,
     total_loss,
 )
-from event2vec.model import _dropout_masks
+from event2vec.model import _dropout_masks, zero_grads
 from event2vec.seeding import derive_seed
 from helpers import fd_total_loss_grads, max_rel_err, tiny_params
 
@@ -331,17 +331,22 @@ class TestGradients:
         for key in g1:
             assert np.array_equal(g1[key], g2[key])
 
-    def test_out_buffers_are_reused_and_match_fresh_gradients(self):
+    def test_into_adds_to_the_callers_arrays(self):
         params = tiny_params(23, HYPER)
         spec = DropoutSpec(0.3, seed=2)
-        _, first = gradients(params, np.array([4, 1, 1]), dropout=spec)
-        _, fresh = gradients(params, np.array([0, 1, 2, 3]), dropout=spec)
-        _, reused = gradients(params, np.array([0, 1, 2, 3]), dropout=spec, out=first)
-        assert all(reused[key] is first[key] for key in first)
-        for key in fresh:
-            assert reused[key].tobytes() == fresh[key].tobytes()
-        with pytest.raises(UsageError):
-            gradients(tiny_params(23, HYPER, dim=5), np.array([0, 1]), out=first)
+        seq_a, seq_b = np.array([4, 1, 1]), np.array([0, 1, 2, 3])
+        _, fresh_a = gradients(params, seq_a, dropout=spec)
+        _, fresh_b = gradients(params, seq_b, dropout=spec)
+        total = zero_grads(params)
+        arrays = dict(total)
+        gradients(params, seq_a, dropout=spec, into=total)
+        _, returned = gradients(params, seq_b, dropout=spec, into=total)
+        assert returned is total
+        assert sorted(total) == sorted(fresh_a)
+        for key in total:
+            assert total[key] is arrays[key]
+            expected = fresh_a[key] + fresh_b[key]
+            assert np.max(np.abs(total[key] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_gradients_require_decoder(self):
         params = init_params(Vocabulary(["a", "b"]), 3, EUCLID, with_decoder=False)

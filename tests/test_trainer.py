@@ -71,6 +71,14 @@ class TestTrainConfig:
             {"adam_beta2": 0.0},
             {"adam_eps": 0.0},
             {"checkpoint_every": -1},
+            {"dim": 2.5},
+            {"epochs": float("inf")},
+            {"batch_size": True},
+            {"seed": 1.0},
+            {"learning_rate": float("inf")},
+            {"lambda_recon": float("nan")},
+            {"adam_eps": float("inf")},
+            {"geometry": None},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
