@@ -13,7 +13,7 @@ import numpy as np
 
 from . import geometry as geo
 from .dataset import EventDataset
-from .errors import UsageError
+from .errors import UsageError, check_config_types
 from .model import ModelParams
 from .seeding import rng_for
 
@@ -29,6 +29,11 @@ class SgnsConfig:
     unigram_power: float = 0.75
 
     def __post_init__(self) -> None:
+        check_config_types(
+            self,
+            ints=("dim", "window", "negatives", "epochs", "seed"),
+            reals=("learning_rate", "unigram_power"),
+        )
         if self.dim < 1:
             raise UsageError(f"dim must be >= 1, got {self.dim}")
         if self.window < 1:

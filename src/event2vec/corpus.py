@@ -53,20 +53,24 @@ def normalize_tag(tag: str) -> str:
 
 def load_tagged_corpus(path: str) -> TaggedCorpus:
     sentences = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            pairs = []
-            for item in line.split():
-                token, sep, tag = item.rpartition("/")
-                if not sep or not token or not tag:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: malformed token/TAG pair: {item!r}"
-                    )
-                pairs.append((token.lower(), normalize_tag(tag)))
-            sentences.append(tuple(pairs))
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: corpus file is not valid UTF-8: {e}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        pairs = []
+        for item in line.split():
+            token, sep, tag = item.rpartition("/")
+            if not sep or not token or not tag:
+                raise DataFormatError(
+                    f"{path}:{lineno}: malformed token/TAG pair: {item!r}"
+                )
+            pairs.append((token.lower(), normalize_tag(tag)))
+        sentences.append(tuple(pairs))
     if not sentences:
         raise DataFormatError(f"{path}: corpus file has no sentences")
     return TaggedCorpus(tuple(sentences))

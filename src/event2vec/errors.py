@@ -7,6 +7,9 @@ The CLI maps subclasses to distinct exit codes.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 
 class Event2VecError(Exception):
     """Base class for all errors raised by event2vec."""
@@ -26,3 +29,16 @@ class DataFormatError(Event2VecError, ValueError):
 
 class NumericalError(Event2VecError, RuntimeError):
     """A numerical invariant failed at runtime (NaN/Inf in training, etc.)."""
+
+
+def check_config_types(config, ints: tuple[str, ...], reals: tuple[str, ...]) -> None:
+    """Raise :class:`UsageError` unless each ``ints`` field of ``config`` is an integer
+    and each ``reals`` field a finite number (``bool`` is neither)."""
+    for name in ints:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise UsageError(f"{name} must be an integer, got {value!r}")
+    for name in reals:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise UsageError(f"{name} must be a finite number, got {value!r}")

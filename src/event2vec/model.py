@@ -28,10 +28,12 @@ import numpy as np
 from . import geometry as geo
 from .dataset import Vocabulary
 from .errors import DataFormatError, UsageError
-from .fileio import array_field, atomic_write_json, int_field, read_json
+from .fileio import array_field, atomic_write_json, encode_array, int_field, read_json
 from .seeding import derive_seed, rng_for
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
+# Version 1 held each array as nested lists of numbers; it still loads.
+READABLE_SCHEMA_VERSIONS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -543,29 +545,32 @@ def gradients(
 
 
 def model_to_doc(params: ModelParams) -> dict:
-    """The JSON document a checkpoint holds; train states embed the same one."""
+    """The JSON document a checkpoint holds; train states embed the same one.
+
+    Arrays are encoded by :func:`fileio.encode_array`, which refuses
+    non-finite values.
+    """
     return {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "geometry": params.geometry.to_dict(),
         "dim": params.dim,
         "vocab": list(params.vocab.names),
-        "embeddings": params.embeddings.tolist(),
-        "decoder_weights": None if params.decoder_weights is None else params.decoder_weights.tolist(),
-        "decoder_bias": None if params.decoder_bias is None else params.decoder_bias.tolist(),
+        **{name: None if arr is None else encode_array(arr, name) for name, arr in param_arrays(params).items()},
     }
 
 
 def model_from_doc(doc, path: str) -> ModelParams:
     """Parse and fully validate a :func:`model_to_doc` document read from ``path``.
 
-    Every problem raises :class:`DataFormatError` naming ``path`` and the
-    field: schema, missing keys, shapes, ``dim``, non-finite values, and
-    hyperbolic embedding rows outside the open ball.
+    Both schema versions load. Every problem raises
+    :class:`DataFormatError` naming ``path`` and the field: schema,
+    missing keys, array encodings, shapes, ``dim``, non-finite values,
+    and hyperbolic embedding rows outside the open ball.
     """
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: the model document must be a JSON object")
     version = doc.get("schema_version")
-    if version != CHECKPOINT_SCHEMA_VERSION:
+    if version not in READABLE_SCHEMA_VERSIONS:
         raise DataFormatError(f"{path}: unsupported schema_version {version!r}")
     required = ("geometry", "dim", "vocab", "embeddings")
     missing = [k for k in required if k not in doc]
@@ -597,7 +602,10 @@ def model_from_doc(doc, path: str) -> ModelParams:
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
-    """Write params as JSON. Floats keep full precision (shortest repr)."""
+    """Write params as one JSON document; arrays are raw float64 bytes, so they reload bit-exactly.
+
+    A non-finite array raises ``ValueError`` before any file is written.
+    """
     atomic_write_json(path, model_to_doc(params), indent=None)
 
 

@@ -11,8 +11,6 @@ an uninterrupted run would have performed.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import IO
@@ -21,8 +19,8 @@ import numpy as np
 
 from . import geometry as geo
 from .dataset import EventDataset
-from .errors import DataFormatError, NumericalError, UsageError
-from .fileio import array_field, atomic_write_json, int_field, read_json
+from .errors import DataFormatError, NumericalError, UsageError, check_config_types
+from .fileio import array_field, atomic_write_json, encode_array, int_field, read_json
 from .model import (
     DropoutSpec,
     ModelParams,
@@ -35,7 +33,9 @@ from .model import (
 )
 from .seeding import derive_seed, rng_for
 
-TRAIN_STATE_SCHEMA_VERSION = 1
+TRAIN_STATE_SCHEMA_VERSION = 2
+# Version 1 held each array as nested lists of numbers; it still loads.
+READABLE_TRAIN_STATE_VERSIONS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,12 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "batch_size", "dim", "seed", "checkpoint_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise UsageError(f"{name} must be an integer, got {value!r}")
-        for name in ("learning_rate", "lambda_recon", "lambda_consist", "dropout_rate",
-                     "adam_beta1", "adam_beta2", "adam_eps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise UsageError(f"{name} must be a finite number, got {value!r}")
+        check_config_types(
+            self,
+            ints=("epochs", "batch_size", "dim", "seed", "checkpoint_every"),
+            reals=("learning_rate", "lambda_recon", "lambda_consist", "dropout_rate",
+                   "adam_beta1", "adam_beta2", "adam_eps"),
+        )
         if not isinstance(self.geometry, geo.Geometry):
             raise UsageError(f"geometry must be a Geometry, got {self.geometry!r}")
         if self.epochs < 0:
@@ -183,13 +180,17 @@ class TrainState:
 
 
 def save_train_state(path: str, state: TrainState) -> None:
+    """Write ``state`` as one JSON document; the model and Adam arrays reload bit-exactly.
+
+    A non-finite array raises ``ValueError`` before any file is written.
+    """
     doc = {
         "schema_version": TRAIN_STATE_SCHEMA_VERSION,
         "model": model_to_doc(state.params),
         "adam": {
             "step": state.adam.step,
-            "m": {k: a.tolist() for k, a in state.adam.m.items()},
-            "v": {k: a.tolist() for k, a in state.adam.v.items()},
+            "m": {k: encode_array(a, f"adam.m.{k}") for k, a in state.adam.m.items()},
+            "v": {k: encode_array(a, f"adam.v.{k}") for k, a in state.adam.v.items()},
         },
         "next_epoch": state.next_epoch,
     }
@@ -197,14 +198,14 @@ def save_train_state(path: str, state: TrainState) -> None:
 
 
 def load_train_state(path: str) -> TrainState:
-    """Read a :func:`save_train_state` file, validating every value in it.
+    """Read a :func:`save_train_state` file of either schema version, validating every value in it.
 
     The model goes through the checkpoint validator; the Adam moments must
     match the parameter shapes and be finite, with ``v >= 0``, and the step
     and epoch counters must be non-negative.
     """
     doc = read_json(path, "train state")
-    if not isinstance(doc, dict) or doc.get("schema_version") != TRAIN_STATE_SCHEMA_VERSION:
+    if not isinstance(doc, dict) or doc.get("schema_version") not in READABLE_TRAIN_STATE_VERSIONS:
         raise DataFormatError(f"{path}: unsupported train state document")
     params = model_from_doc(doc.get("model"), path)
     if not params.has_decoder:

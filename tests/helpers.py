@@ -1,6 +1,9 @@
 """Shared test utilities: tiny models, ball samplers, finite-difference gradients,
-JSON corruption, the per-step reference recurrence built from the public
-geometry functions, and the per-row reference rankers and silhouette."""
+document corruption and the schema version 1 form, the per-step reference
+recurrence built from the public geometry functions, and the per-row
+reference rankers and silhouette."""
+
+import base64
 
 import numpy as np
 
@@ -16,6 +19,7 @@ from event2vec import (
 )
 from event2vec import geometry as geo
 from event2vec.evaluation import _cosine, _pairwise_distances
+from event2vec.fileio import array_field
 from event2vec.model import HiddenTrajectory, _dropout_masks
 
 PARAM_ARRAYS = ("embeddings", "decoder_weights", "decoder_bias")
@@ -63,11 +67,31 @@ def max_rel_err(analytic: dict, numeric: dict, floor: float = 1e-4) -> float:
     return worst
 
 
-def poke_first(nested: list, value) -> None:
-    """Overwrite the first scalar of a nested JSON list in place."""
-    while isinstance(nested[0], list):
-        nested = nested[0]
-    nested[0] = value
+def poke_first(node, value) -> None:
+    """Overwrite the first scalar of a document array in place.
+
+    ``node`` is an encoded array, whose bytes are rewritten without the
+    writer's finite check, or nested JSON lists (schema version 1), which
+    can also take a non-number such as ``"@"``.
+    """
+    if isinstance(node, dict):
+        arr = array_field(node, "", "")
+        arr.flat[0] = value
+        node["b64"] = base64.b64encode(arr.tobytes()).decode("ascii")
+        return
+    while isinstance(node[0], list):
+        node = node[0]
+    node[0] = value
+
+
+def to_v1(doc):
+    """A checkpoint or train-state document in schema version 1: every
+    encoded array as nested lists of numbers."""
+    if isinstance(doc, dict):
+        if "b64" in doc:
+            return array_field(doc, "", "").tolist()
+        return {k: 1 if k == "schema_version" else to_v1(v) for k, v in doc.items()}
+    return doc
 
 
 def ball_points(rng: np.random.Generator, n: int, dim: int, c: float,

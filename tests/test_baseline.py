@@ -44,6 +44,14 @@ class TestSgnsConfig:
             {"epochs": -1},
             {"learning_rate": 0.0},
             {"unigram_power": -0.1},
+            {"dim": 2.5},
+            {"window": True},
+            {"negatives": 5.0},
+            {"epochs": "1"},
+            {"seed": 0.5},
+            {"learning_rate": float("inf")},
+            {"unigram_power": float("inf")},
+            {"unigram_power": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

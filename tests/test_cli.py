@@ -13,7 +13,7 @@ import pytest
 from event2vec.cli import run
 from event2vec.lifepath import default_graph
 from event2vec.model import load_checkpoint
-from helpers import poke_first
+from helpers import poke_first, to_v1
 
 
 @pytest.fixture(scope="module")
@@ -87,16 +87,20 @@ class TestExitCodes:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("field,value", [
+    BAD_HYPERBOLIC_VALUES = [
         ("embeddings", 1.5),  # puts row 0 outside the unit ball
         ("decoder_weights", float("inf")),
         ("decoder_bias", float("nan")),
-    ])
-    def test_invalid_hyperbolic_checkpoint_is_data_error(self, workdir, tmp_path, capsys, field, value):
+    ]
+
+    @pytest.mark.parametrize("field,value", BAD_HYPERBOLIC_VALUES)
+    def test_invalid_hyperbolic_checkpoint_is_data_error(self, workdir, tmp_path, capsys, field, value, version=2):
         hyp = tmp_path / "hyp.json"
         assert run(["train", "--data", workdir["data"], "--out", str(hyp), "--epochs", "1",
                     "--dim", "3", "--geometry", "hyperbolic"]) == 0
         doc = json.loads(hyp.read_text())
+        if version == 1:
+            doc = to_v1(doc)
         poke_first(doc[field], value)
         hyp.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -106,11 +110,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(hyp) in err and field in err
 
-    def test_invalid_resume_state_is_data_error(self, workdir, tmp_path, capsys):
+    @pytest.mark.parametrize("field,value", BAD_HYPERBOLIC_VALUES)
+    def test_invalid_hyperbolic_v1_checkpoint_is_data_error(self, workdir, tmp_path, capsys, field, value):
+        self.test_invalid_hyperbolic_checkpoint_is_data_error(workdir, tmp_path, capsys, field, value, version=1)
+
+    def test_invalid_resume_state_is_data_error(self, workdir, tmp_path, capsys, version=2):
         state = tmp_path / "state.json"
         base = ["train", "--data", workdir["data"], "--dim", "4", "--seed", "0"]
         assert run([*base, "--out", str(tmp_path / "a.json"), "--epochs", "1", "--state", str(state)]) == 0
         doc = json.loads(state.read_text())
+        if version == 1:
+            doc = to_v1(doc)
         poke_first(doc["model"]["embeddings"], float("nan"))
         poke_first(doc["model"]["decoder_bias"], float("inf"))
         state.write_text(json.dumps(doc))
@@ -118,6 +128,9 @@ class TestExitCodes:
         assert run([*base, "--out", str(tmp_path / "b.json"), "--epochs", "2", "--resume", str(state)]) == 2
         err = capsys.readouterr().err
         assert str(state) in err and "embeddings" in err
+
+    def test_invalid_v1_resume_state_is_data_error(self, workdir, tmp_path, capsys):
+        self.test_invalid_resume_state_is_data_error(workdir, tmp_path, capsys, version=1)
 
     @pytest.mark.parametrize("token", ["Infinity", "NaN", "1e400"])
     def test_non_finite_checkpoint_dim_is_data_error(self, workdir, tmp_path, capsys, token):
@@ -190,6 +203,22 @@ class TestExitCodes:
         assert "inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--lr", "inf"], ["--unigram-power", "inf"]])
+    def test_bad_sgns_flag_is_usage_error(self, workdir, tmp_path, capsys, flags):
+        out = tmp_path / "sgns.json"
+        assert run(["train-sgns", "--data", workdir["data"], "--out", str(out), "--epochs", "1", *flags]) == 1
+        err = capsys.readouterr().err
+        assert flags[1] in err and "training SGNS" not in err
+        assert not out.exists()
+
+    def test_non_utf8_corpus_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"the/AT cat\xff/NN\n")
+        out = tmp_path / "words.jsonl"
+        assert run(["corpus-prepare", "--corpus", str(corpus), "--out", str(out)]) == 2
+        assert str(corpus) in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("where,token,named", [
         ("max_len", "Infinity", "max_len"),
         ("max_len", "1e400", "integer"),
@@ -214,12 +243,12 @@ class TestExitCodes:
         state = tmp_path / "state.json"
         base = ["train", "--data", workdir["data"], "--dim", "4", "--seed", "0"]
         assert run([*base, "--out", str(tmp_path / "a.json"), "--epochs", "1", "--state", str(state)]) == 0
-        huge = "1" + "0" * 400
-        doc = json.loads(open(workdir["model"]).read())
+        huge = "1" + "0" * 400  # only the nested-list form holds numbers as text
+        doc = to_v1(json.loads(open(workdir["model"]).read()))
         poke_first(doc["decoder_bias"], "@")
         ckpt = tmp_path / "model.json"
         ckpt.write_text(json.dumps(doc).replace('"@"', huge))
-        doc = json.loads(state.read_text())
+        doc = to_v1(json.loads(state.read_text()))
         poke_first(doc["adam"]["v"]["decoder_bias"], "@")
         state.write_text(json.dumps(doc).replace('"@"', huge))
         capsys.readouterr()
@@ -229,6 +258,35 @@ class TestExitCodes:
         assert run([*base, "--out", str(tmp_path / "b.json"), "--epochs", "2", "--resume", str(state)]) == 2
         err = capsys.readouterr().err
         assert str(state) in err and "adam.v.decoder_bias" in err
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda a: a.update(b64=a["b64"][:-1]), id="truncated-base64"),
+        pytest.param(lambda a: a.update(b64="!" + a["b64"][1:]), id="non-base64-character"),
+        pytest.param(lambda a: a.update(dtype="<f4"), id="dtype-f4"),
+        pytest.param(lambda a: a.update(dtype=">f8"), id="dtype-big-endian"),
+        pytest.param(lambda a: a["shape"].__setitem__(0, a["shape"][0] + 1), id="shape-disagrees-with-bytes"),
+        pytest.param(lambda a: a["shape"].__setitem__(0, -a["shape"][0]), id="negative-shape"),
+        pytest.param(lambda a: a.pop("b64"), id="missing-b64"),
+    ])
+    @pytest.mark.parametrize("field", ["embeddings", "decoder_bias", "adam.v.decoder_bias"])
+    def test_malformed_encoded_array_is_data_error(self, workdir, tmp_path, capsys, field, corrupt):
+        if field.startswith("adam."):
+            path = tmp_path / "state.json"
+            base = ["train", "--data", workdir["data"], "--dim", "4", "--seed", "0"]
+            assert run([*base, "--out", str(tmp_path / "a.json"), "--epochs", "1", "--state", str(path)]) == 0
+            doc = json.loads(path.read_text())
+            corrupt(doc["adam"]["v"]["decoder_bias"])
+            command = [*base, "--out", str(tmp_path / "b.json"), "--epochs", "2", "--resume", str(path)]
+        else:
+            path = tmp_path / "model.json"
+            doc = json.loads(open(workdir["model"]).read())
+            corrupt(doc[field])
+            command = ["neighbors", "--model", str(path), "--event", "marriage"]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(command) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and field in err and "Traceback" not in err
 
     def test_non_object_geometry_in_checkpoint_is_data_error(self, workdir, tmp_path, capsys):
         doc = json.loads(open(workdir["model"]).read())

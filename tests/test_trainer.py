@@ -30,7 +30,7 @@ from event2vec.trainer import (
     save_train_state,
     train,
 )
-from helpers import poke_first
+from helpers import poke_first, to_v1
 
 
 def toy_dataset(n: int = 12, seed: int = 0) -> EventDataset:
@@ -321,22 +321,26 @@ class TestResume:
             load_train_state(str(state_path))
 
     @staticmethod
-    def _corrupted_state(tmp_path, corrupt) -> str:
+    def _corrupted_state(tmp_path, corrupt, version: int = 2) -> str:
         state_path = tmp_path / "state.json"
         train(toy_dataset(), TrainConfig(**SMALL), state_path=str(state_path))
         doc = json.loads(state_path.read_text())
+        if version == 1:
+            doc = to_v1(doc)
         corrupt(doc)
         state_path.write_text(json.dumps(doc))
         return str(state_path)
 
-    @pytest.mark.parametrize("field,value", [
+    INVALID_VALUES = [
         ("embeddings", float("nan")),
         ("decoder_bias", float("inf")),
         ("adam.m.decoder_weights", float("nan")),
         ("adam.v.embeddings", float("inf")),
         ("adam.v.decoder_bias", -1e-3),
-    ])
-    def test_load_rejects_invalid_values(self, tmp_path, field, value):
+    ]
+
+    @pytest.mark.parametrize("field,value", INVALID_VALUES)
+    def test_load_rejects_invalid_values(self, tmp_path, field, value, version=2):
         # Errors name model fields bare and Adam buffers as adam.<m|v>.<param>.
         def corrupt(doc):
             *buffer, name = field.split(".")
@@ -344,7 +348,11 @@ class TestResume:
             poke_first(owner[name], value)
 
         with pytest.raises(DataFormatError, match=re.escape(field)):
-            load_train_state(self._corrupted_state(tmp_path, corrupt))
+            load_train_state(self._corrupted_state(tmp_path, corrupt, version))
+
+    @pytest.mark.parametrize("field,value", INVALID_VALUES)
+    def test_load_rejects_invalid_values_in_v1(self, tmp_path, field, value):
+        self.test_load_rejects_invalid_values(tmp_path, field, value, version=1)
 
     def test_load_rejects_missing_moment_buffer(self, tmp_path):
         path = self._corrupted_state(tmp_path, lambda doc: doc["adam"]["v"].pop("decoder_bias"))
