@@ -80,25 +80,29 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def pair_loss_and_grads(
-    w_vec: np.ndarray, c_vec: np.ndarray, neg_vecs: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss and gradients for one (center, context, negatives) triple.
+def _sgd_pair_step(
+    w_in: np.ndarray, w_out: np.ndarray, center: int, context: int, negs: np.ndarray, lr: float
+) -> None:
+    """One in-place SGD step on -log sigmoid(w.c) - sum_i log sigmoid(-w.n_i).
 
-    loss = -log sigmoid(w.c) - sum_i log sigmoid(-w.n_i), the quantity
-    each SGD step descends.
+    w = w_in[center], c = w_out[context], n_i = w_out[negs[i]]; draws equal
+    to ``context`` are dropped, as in word2vec. Gradients are taken before
+    the step, so a negative drawn twice moves twice.
     """
-    w_vec = np.asarray(w_vec, dtype=np.float64)
-    c_vec = np.asarray(c_vec, dtype=np.float64)
-    neg_vecs = np.atleast_2d(np.asarray(neg_vecs, dtype=np.float64))
-    s_pos = _sigmoid(np.array([w_vec @ c_vec]))[0]
-    s_negs = _sigmoid(neg_vecs @ w_vec)
-    loss = -np.log(max(s_pos, 1e-15)) - np.sum(np.log(np.maximum(1.0 - s_negs, 1e-15)))
+    negs = negs[negs != context]
+    w_vec = w_in[center]
+    s_pos = _sigmoid(np.array([w_vec @ w_out[context]]))[0]
     g_pos = s_pos - 1.0
-    g_w = g_pos * c_vec + s_negs @ neg_vecs
-    g_c = g_pos * w_vec
-    g_negs = s_negs[:, None] * w_vec[None, :]
-    return float(loss), g_w, g_c, g_negs
+    if len(negs):
+        nv = w_out[negs]
+        s_negs = _sigmoid(nv @ w_vec)
+        g_w = g_pos * w_out[context] + s_negs @ nv
+        # subtract.at so repeated negative draws accumulate
+        np.subtract.at(w_out, negs, lr * s_negs[:, None] * w_vec[None, :])
+    else:
+        g_w = g_pos * w_out[context]
+    w_out[context] -= lr * g_pos * w_vec
+    w_in[center] = w_vec - lr * g_w
 
 
 def train_sgns(dataset: EventDataset, config: SgnsConfig) -> ModelParams:
@@ -124,32 +128,20 @@ def train_sgns(dataset: EventDataset, config: SgnsConfig) -> ModelParams:
     w_in = rng.uniform(-0.5 / config.dim, 0.5 / config.dim, size=(vocab_size, config.dim))
     w_out = np.zeros((vocab_size, config.dim))
 
-    lr = config.learning_rate
+    window, k = config.window, config.negatives
     for _epoch in range(config.epochs):
         for seq in dataset.sequences:
             n = len(seq)
-            for i in range(n):
-                center = int(seq[i])
-                lo, hi = max(0, i - config.window), min(n, i + config.window + 1)
-                for j in range(lo, hi):
-                    if j == i:
-                        continue
-                    context = int(seq[j])
-                    negs = sampler.sample(rng, config.negatives)
-                    negs = negs[negs != context]
-                    w_vec = w_in[center]
-                    s_pos = _sigmoid(np.array([w_vec @ w_out[context]]))[0]
-                    g_pos = s_pos - 1.0
-                    if len(negs):
-                        nv = w_out[negs]
-                        s_negs = _sigmoid(nv @ w_vec)
-                        g_w = g_pos * w_out[context] + s_negs @ nv
-                        # subtract.at so repeated negative draws accumulate
-                        np.subtract.at(w_out, negs, lr * s_negs[:, None] * w_vec[None, :])
-                    else:
-                        g_w = g_pos * w_out[context]
-                    w_out[context] -= lr * g_pos * w_vec
-                    w_in[center] = w_vec - lr * g_w
+            pairs = [
+                (int(seq[i]), int(seq[j]))
+                for i in range(n)
+                for j in range(max(0, i - window), min(n, i + window + 1))
+                if j != i
+            ]
+            # One draw per sentence is the same stream as one per pair.
+            negs = sampler.sample(rng, len(pairs) * k).reshape(len(pairs), k)
+            for (center, context), pair_negs in zip(pairs, negs):
+                _sgd_pair_step(w_in, w_out, center, context, pair_negs, config.learning_rate)
     return ModelParams(
         geometry=geo.Geometry(geo.EUCLIDEAN),
         vocab=dataset.vocab,

@@ -116,6 +116,21 @@ def int_field(value, path: str, field: str) -> int:
         raise DataFormatError(f"{path}: {field} must be an integer, got {value!r}") from None
 
 
+SCHEMA_VERSION = 2
+# Version 1 held each array as nested lists of numbers; it still loads.
+READABLE_SCHEMA_VERSIONS = (1, 2)
+
+
+def check_schema_version(doc, path: str, what: str) -> None:
+    """Raise :class:`DataFormatError` unless ``doc`` is an object with a readable ``schema_version``.
+
+    The version must be a JSON integer: ``true`` and ``1.0`` equal 1 in Python but are not versions.
+    """
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if type(version) is not int or version not in READABLE_SCHEMA_VERSIONS:
+        raise DataFormatError(f"{path}: unsupported {what} document (schema_version {version!r})")
+
+
 ARRAY_DTYPE = "<f8"
 _ARRAY_KEYS = {"dtype", "shape", "b64"}
 

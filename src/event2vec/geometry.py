@@ -28,7 +28,8 @@ from .errors import BallDomainError, UsageError
 # Guards shared by every routine that divides or calls arctanh.
 MIN_DENOM = 1e-15
 ATANH_BOUND = 1.0 - 1e-7
-DEFAULT_BALL_MARGIN = 1e-5
+# project_to_ball pulls points back to (1 - BALL_MARGIN) times the ball radius.
+BALL_MARGIN = 1e-5
 
 EUCLIDEAN = "euclidean"
 HYPERBOLIC = "hyperbolic"
@@ -101,9 +102,9 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sum(x * y, axis=-1, keepdims=True)
 
 
-def _ball_limit(c: float, margin: float = DEFAULT_BALL_MARGIN) -> float:
+def _ball_limit(c: float) -> float:
     """Radius :func:`project_to_ball` pulls boundary points back to."""
-    return (1.0 - margin) / np.sqrt(c)
+    return (1.0 - BALL_MARGIN) / np.sqrt(c)
 
 
 def _check_in_ball(x: np.ndarray, c: float, name: str) -> None:
@@ -186,17 +187,15 @@ def clip_norm(x, max_norm: float):
     return x * scale
 
 
-def project_to_ball(x, c: float, margin: float = DEFAULT_BALL_MARGIN):
-    """Pull points at or past the boundary back to radius ``(1-margin)/sqrt(c)``.
+def project_to_ball(x, c: float):
+    """Pull points at or past the boundary back to radius ``(1-BALL_MARGIN)/sqrt(c)``.
 
     Identity for interior points, so gradients flow untouched there.
     """
     x = _as_f64(x)
     if c <= 0.0:
         raise UsageError(f"project_to_ball needs c > 0, got {c}")
-    if not (0.0 < margin < 1.0):
-        raise UsageError(f"margin must lie in (0, 1), got {margin}")
-    limit = _ball_limit(c, margin)
+    limit = _ball_limit(c)
     r = np.sqrt(_sqnorm(x))
     scale = np.where(r > limit, limit / np.maximum(r, MIN_DENOM), 1.0)
     return x * scale
@@ -267,10 +266,6 @@ def _clip_norm_vjp(x, max_norm: float, g) -> np.ndarray:
     safe_r = np.maximum(r, MIN_DENOM)
     scaled = (max_norm / safe_r) * (g - _dot(x, g) * x / (safe_r * safe_r))
     return np.where(r > max_norm, scaled, g)
-
-
-def _project_to_ball_vjp(x, c: float, margin: float, g) -> np.ndarray:
-    return _clip_norm_vjp(x, _ball_limit(c, margin), g)
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,9 @@ import numpy as np
 from . import geometry as geo
 from .dataset import Vocabulary
 from .errors import DataFormatError, UsageError
-from .fileio import array_field, atomic_write_json, encode_array, int_field, read_json
+from .fileio import (SCHEMA_VERSION, array_field, atomic_write_json, check_schema_version, encode_array,
+                     int_field, read_json)
 from .seeding import derive_seed, rng_for
-
-CHECKPOINT_SCHEMA_VERSION = 2
-# Version 1 held each array as nested lists of numbers; it still loads.
-READABLE_SCHEMA_VERSIONS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -385,7 +382,7 @@ def _backward_through_trajectory(
             gr = geo._clip_row_vjp(traj.raw_states[t], limit, g_states[t + 1])
             gh_prev, g_inputs[t] = geo._mobius_add_row_vjp(traj.states[t], traj.inputs[t], c, gr)
             g_states[t] += gh_prev
-        g_masked = geo._project_to_ball_vjp(traj.masked, c, geo.DEFAULT_BALL_MARGIN, g_inputs)
+        g_masked = geo._clip_norm_vjp(traj.masked, limit, g_inputs)
     else:
         clipped = g.max_norm is not None and not np.array_equal(traj.raw_states, traj.states[1:])
         if clipped:
@@ -551,7 +548,7 @@ def model_to_doc(params: ModelParams) -> dict:
     non-finite values.
     """
     return {
-        "schema_version": CHECKPOINT_SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "geometry": params.geometry.to_dict(),
         "dim": params.dim,
         "vocab": list(params.vocab.names),
@@ -569,9 +566,7 @@ def model_from_doc(doc, path: str) -> ModelParams:
     """
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: the model document must be a JSON object")
-    version = doc.get("schema_version")
-    if version not in READABLE_SCHEMA_VERSIONS:
-        raise DataFormatError(f"{path}: unsupported schema_version {version!r}")
+    check_schema_version(doc, path, "model")
     required = ("geometry", "dim", "vocab", "embeddings")
     missing = [k for k in required if k not in doc]
     if missing:

@@ -20,7 +20,8 @@ import numpy as np
 from . import geometry as geo
 from .dataset import EventDataset
 from .errors import DataFormatError, NumericalError, UsageError, check_config_types
-from .fileio import array_field, atomic_write_json, encode_array, int_field, read_json
+from .fileio import (SCHEMA_VERSION, array_field, atomic_write_json, check_schema_version, encode_array,
+                     int_field, read_json)
 from .model import (
     DropoutSpec,
     ModelParams,
@@ -29,13 +30,10 @@ from .model import (
     model_from_doc,
     model_to_doc,
     param_arrays,
+    save_checkpoint,
     zero_grads,
 )
 from .seeding import derive_seed, rng_for
-
-TRAIN_STATE_SCHEMA_VERSION = 2
-# Version 1 held each array as nested lists of numbers; it still loads.
-READABLE_TRAIN_STATE_VERSIONS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -185,7 +183,7 @@ def save_train_state(path: str, state: TrainState) -> None:
     A non-finite array raises ``ValueError`` before any file is written.
     """
     doc = {
-        "schema_version": TRAIN_STATE_SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "model": model_to_doc(state.params),
         "adam": {
             "step": state.adam.step,
@@ -205,8 +203,7 @@ def load_train_state(path: str) -> TrainState:
     and epoch counters must be non-negative.
     """
     doc = read_json(path, "train state")
-    if not isinstance(doc, dict) or doc.get("schema_version") not in READABLE_TRAIN_STATE_VERSIONS:
-        raise DataFormatError(f"{path}: unsupported train state document")
+    check_schema_version(doc, path, "train state")
     params = model_from_doc(doc.get("model"), path)
     if not params.has_decoder:
         raise DataFormatError(f"{path}: train state model has no decoder")
@@ -327,8 +324,6 @@ def train(
 
 
 def _snapshot(params, adam, next_epoch, checkpoint_path, state_path) -> None:
-    from .model import save_checkpoint
-
     if checkpoint_path is not None:
         save_checkpoint(params, checkpoint_path)
     if state_path is not None:

@@ -1,7 +1,8 @@
 """Shared test utilities: tiny models, ball samplers, finite-difference gradients,
 document corruption and the schema version 1 form, the per-step reference
-recurrence built from the public geometry functions, and the per-row
-reference rankers and silhouette."""
+recurrence built from the public geometry functions, the per-row
+reference rankers and silhouette, and the skip-gram pair loss and
+per-pair training loop."""
 
 import base64
 
@@ -18,9 +19,11 @@ from event2vec import (
     total_loss,
 )
 from event2vec import geometry as geo
+from event2vec.baseline import NegativeSampler, _sigmoid
 from event2vec.evaluation import _cosine, _pairwise_distances
 from event2vec.fileio import array_field
 from event2vec.model import HiddenTrajectory, _dropout_masks
+from event2vec.seeding import rng_for
 
 PARAM_ARRAYS = ("embeddings", "decoder_weights", "decoder_bias")
 
@@ -150,10 +153,10 @@ def reference_backward(params, traj, g_states, acc) -> None:
         c = g.c
         g_inputs = np.empty_like(traj.inputs)
         for t in range(t_len - 1, -1, -1):
-            gr = geo._project_to_ball_vjp(traj.raw_states[t], c, geo.DEFAULT_BALL_MARGIN, g_states[t + 1])
+            gr = geo._clip_norm_vjp(traj.raw_states[t], geo._ball_limit(c), g_states[t + 1])
             gh_prev, g_inputs[t] = geo._mobius_add_vjp(traj.states[t], traj.inputs[t], c, gr)
             g_states[t] += gh_prev
-        g_masked = geo._project_to_ball_vjp(traj.masked, c, geo.DEFAULT_BALL_MARGIN, g_inputs)
+        g_masked = geo._clip_norm_vjp(traj.masked, geo._ball_limit(c), g_inputs)
     else:
         clipped = g.max_norm is not None and not np.array_equal(traj.raw_states, traj.states[1:])
         if clipped:
@@ -235,3 +238,60 @@ def reference_silhouette(points, labels, metric, c=1.0):
         denom = max(a, b)
         scores[i] = 0.0 if denom <= 0.0 else (b - a) / denom
     return float(scores.mean()), {lab: float(scores[idx].mean()) for lab, idx in members.items()}
+
+
+# ---------------------------------------------------------------------------
+# Reference skip-gram
+# ---------------------------------------------------------------------------
+#
+# The pair loss, written independently of ``baseline._sgd_pair_step`` as the
+# oracle its update is checked against, and the training loop as first
+# written: one negative draw per pair, the pair update inline.
+# ``baseline.train_sgns`` must match the loop byte for byte.
+
+
+def reference_pair_loss(w_vec, c_vec, neg_vecs) -> float:
+    """-log sigmoid(w.c) - sum_i log sigmoid(-w.n_i), with -log sigmoid(x) = log(1 + e^-x)."""
+    w_vec = np.asarray(w_vec, dtype=np.float64)
+    neg_vecs = np.asarray(neg_vecs, dtype=np.float64).reshape(-1, len(w_vec))
+    return float(np.logaddexp(0.0, -(w_vec @ c_vec)) + np.logaddexp(0.0, neg_vecs @ w_vec).sum())
+
+
+def reference_train_sgns(dataset, config) -> np.ndarray:
+    """The input-vector table ``baseline.train_sgns`` must reproduce exactly."""
+    vocab_size = len(dataset.vocab)
+    counts = np.zeros(vocab_size)
+    for seq in dataset.sequences:
+        np.add.at(counts, seq, 1)
+    sampler = NegativeSampler(counts, config.unigram_power)
+
+    rng = rng_for(config.seed, "sgns")
+    w_in = rng.uniform(-0.5 / config.dim, 0.5 / config.dim, size=(vocab_size, config.dim))
+    w_out = np.zeros((vocab_size, config.dim))
+
+    lr = config.learning_rate
+    for _epoch in range(config.epochs):
+        for seq in dataset.sequences:
+            n = len(seq)
+            for i in range(n):
+                center = int(seq[i])
+                lo, hi = max(0, i - config.window), min(n, i + config.window + 1)
+                for j in range(lo, hi):
+                    if j == i:
+                        continue
+                    context = int(seq[j])
+                    negs = sampler.sample(rng, config.negatives)
+                    negs = negs[negs != context]
+                    w_vec = w_in[center]
+                    s_pos = _sigmoid(np.array([w_vec @ w_out[context]]))[0]
+                    g_pos = s_pos - 1.0
+                    if len(negs):
+                        nv = w_out[negs]
+                        s_negs = _sigmoid(nv @ w_vec)
+                        g_w = g_pos * w_out[context] + s_negs @ nv
+                        np.subtract.at(w_out, negs, lr * s_negs[:, None] * w_vec[None, :])
+                    else:
+                        g_w = g_pos * w_out[context]
+                    w_out[context] -= lr * g_pos * w_vec
+                    w_in[center] = w_vec - lr * g_w
+    return w_in

@@ -1,6 +1,7 @@
 """Skip-gram baseline tests: the negative-sampling distribution, the
-pair objective against finite differences and a hand value, and the
-training loop's determinism and learning signal.
+pair update against finite differences of an independent pair loss, and
+the training loop's agreement with the per-pair reference loop, its
+determinism and learning signal.
 """
 
 import math
@@ -12,10 +13,11 @@ from event2vec import EventDataset, UsageError, Vocabulary
 from event2vec.baseline import (
     NegativeSampler,
     SgnsConfig,
-    pair_loss_and_grads,
+    _sgd_pair_step,
     train_sgns,
 )
 from event2vec.seeding import rng_for
+from helpers import reference_pair_loss, reference_train_sgns
 
 
 def shared_context_dataset(n: int = 60) -> EventDataset:
@@ -98,52 +100,78 @@ class TestNegativeSampler:
 # ---------------------------------------------------------------------------
 
 
+def pair_loss(w_in, w_out, center, context, negs) -> float:
+    return reference_pair_loss(w_in[center], w_out[context], w_out[np.asarray(negs, dtype=np.int64)])
+
+
+def fd_pair_grads(w_in, w_out, center, context, negs, eps=1e-6):
+    """Central-difference gradient of the pair loss w.r.t. both whole tables."""
+    grads = []
+    for arr in (w_in, w_out):
+        grad = np.zeros_like(arr)
+        flat, gf = arr.ravel(), grad.ravel()
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + eps
+            hi = pair_loss(w_in, w_out, center, context, negs)
+            flat[i] = keep - eps
+            lo = pair_loss(w_in, w_out, center, context, negs)
+            flat[i] = keep
+            gf[i] = (hi - lo) / (2 * eps)
+        grads.append(grad)
+    return grads
+
+
+def stepped(w_in, w_out, center, context, negs, lr):
+    a, b = w_in.copy(), w_out.copy()
+    _sgd_pair_step(a, b, center, context, np.asarray(negs, dtype=np.int64), lr)
+    return a, b
+
+
 class TestPairLoss:
     def test_hand_value_at_zero_vectors(self):
         # All dot products are 0, every sigmoid is 1/2: the loss is
         # -log(1/2) for the positive pair plus -log(1/2) per negative.
         z = np.zeros(3)
-        loss, g_w, g_c, g_negs = pair_loss_and_grads(z, z, np.zeros((2, 3)))
-        assert loss == pytest.approx(3 * math.log(2), rel=1e-15)
-        assert np.array_equal(g_w, z)
-        assert np.array_equal(g_c, z)
-        assert np.array_equal(g_negs, np.zeros((2, 3)))
+        assert reference_pair_loss(z, z, np.zeros((2, 3))) == pytest.approx(3 * math.log(2), rel=1e-15)
+        # Every gradient is a multiple of a zero row, so nothing moves.
+        w_in, w_out = np.zeros((4, 3)), np.zeros((4, 3))
+        a, b = stepped(w_in, w_out, 0, 1, [2, 3], lr=0.5)
+        assert np.array_equal(a, w_in) and np.array_equal(b, w_out)
 
     def test_gradients_match_finite_differences(self):
+        # The step moves every row by -lr times the loss gradient at the
+        # pre-step values: the center row, the context row, each negative
+        # (index 3 drawn twice moves twice) and, with no negatives left
+        # after dropping the context, the positive pair alone.
         rng = np.random.default_rng(1)
-        w = rng.normal(size=4) * 0.7
-        c = rng.normal(size=4) * 0.7
-        negs = rng.normal(size=(3, 4)) * 0.7
-        loss, g_w, g_c, g_negs = pair_loss_and_grads(w, c, negs)
-
-        eps = 1e-6
-
-        def fd(arr, setter):
-            grad = np.zeros_like(arr)
-            flat, gf = arr.ravel(), grad.ravel()
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + eps
-                hi = pair_loss_and_grads(*setter())[0]
-                flat[i] = keep - eps
-                lo = pair_loss_and_grads(*setter())[0]
-                flat[i] = keep
-                gf[i] = (hi - lo) / (2 * eps)
-            return grad
-
-        assert np.allclose(g_w, fd(w, lambda: (w, c, negs)), atol=1e-8)
-        assert np.allclose(g_c, fd(c, lambda: (w, c, negs)), atol=1e-8)
-        assert np.allclose(g_negs, fd(negs, lambda: (w, c, negs)), atol=1e-8)
+        w_in = rng.normal(size=(6, 4)) * 0.7
+        w_out = rng.normal(size=(6, 4)) * 0.7
+        lr = 1e-3
+        for center, context, negs, kept in [
+            (1, 2, [3, 4, 3], [3, 4, 3]),
+            (1, 2, [2, 5], [5]),
+            (4, 4, [0], [0]),
+            (0, 5, [], []),
+            (0, 5, [5, 5], []),
+        ]:
+            g_in, g_out = fd_pair_grads(w_in, w_out, center, context, kept)
+            a, b = stepped(w_in, w_out, center, context, negs, lr)
+            assert np.allclose((w_in - a) / lr, g_in, atol=1e-8, rtol=0.0)
+            assert np.allclose((w_out - b) / lr, g_out, atol=1e-8, rtol=0.0)
+            touched_out = {context, *kept}
+            untouched = [r for r in range(6) if r not in touched_out]
+            assert np.array_equal(b[untouched], w_out[untouched])
+            assert np.array_equal(np.delete(a, center, axis=0), np.delete(w_in, center, axis=0))
 
     def test_loss_decreases_along_negative_gradient(self):
         rng = np.random.default_rng(2)
-        w = rng.normal(size=3)
-        c = rng.normal(size=3)
-        negs = rng.normal(size=(2, 3))
-        loss, g_w, g_c, g_negs = pair_loss_and_grads(w, c, negs)
-        step = 0.01
-        after, _, _, _ = pair_loss_and_grads(w - step * g_w, c - step * g_c, negs - step * g_negs)
-        assert after < loss
+        w_in = rng.normal(size=(5, 3))
+        w_out = rng.normal(size=(5, 3))
+        negs = [3, 4]
+        before = pair_loss(w_in, w_out, 0, 2, negs)
+        a, b = stepped(w_in, w_out, 0, 2, negs, lr=0.01)
+        assert pair_loss(a, b, 0, 2, negs) < before
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +179,24 @@ class TestPairLoss:
 # ---------------------------------------------------------------------------
 
 
+def random_dataset(vocab_size: int, lengths, seed: int = 0) -> EventDataset:
+    vocab = Vocabulary([f"w{i}" for i in range(vocab_size)])
+    rng = np.random.default_rng(seed)
+    return EventDataset(vocab, [rng.integers(0, vocab_size, size=n) for n in lengths])
+
+
 class TestTrainSgns:
+    @pytest.mark.parametrize("dataset,config", [
+        # V = 3: most draws hit the context, often leaving no negative at all.
+        (random_dataset(3, [4, 2, 5, 3]), SgnsConfig(dim=3, window=2, negatives=1, epochs=2, seed=1)),
+        (random_dataset(3, [4, 2, 5, 3]), SgnsConfig(dim=3, window=2, negatives=2, epochs=2, seed=2)),
+        # A window longer than every sentence, and a one-token sentence with no pairs.
+        (random_dataset(8, [6, 1, 3, 7], seed=3), SgnsConfig(dim=5, window=20, negatives=2, epochs=2, seed=0)),
+        (shared_context_dataset(6), SgnsConfig(dim=6, window=1, negatives=3, epochs=3, seed=4)),
+    ], ids=["v3-neg1", "v3-neg2", "long-window", "shared-context"])
+    def test_matches_reference_loop(self, dataset, config):
+        assert train_sgns(dataset, config).embeddings.tobytes() == reference_train_sgns(dataset, config).tobytes()
+
     def test_zero_epochs_returns_seeded_init(self):
         ds = shared_context_dataset(4)
         config = SgnsConfig(dim=8, epochs=0, seed=3)

@@ -132,6 +132,26 @@ class TestExitCodes:
     def test_invalid_v1_resume_state_is_data_error(self, workdir, tmp_path, capsys):
         self.test_invalid_resume_state_is_data_error(workdir, tmp_path, capsys, version=1)
 
+    @pytest.mark.parametrize("version", [True, 1.0, 2.0, "2"], ids=["true", "1.0", "2.0", "string-2"])
+    def test_non_integer_schema_version_is_data_error(self, workdir, tmp_path, capsys, version):
+        # true and 1.0 equal 1 in Python, so those two go into version 1 documents.
+        state = tmp_path / "state.json"
+        base = ["train", "--data", workdir["data"], "--dim", "4", "--seed", "0"]
+        assert run([*base, "--out", str(tmp_path / "a.json"), "--epochs", "1", "--state", str(state)]) == 0
+        ckpt = tmp_path / "model.json"
+        for path, doc in ((ckpt, json.loads(open(workdir["model"]).read())), (state, json.loads(state.read_text()))):
+            if version == 1:
+                doc = to_v1(doc)
+            doc["schema_version"] = version
+            path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["neighbors", "--model", str(ckpt), "--event", "marriage"]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "schema_version" in err
+        assert run([*base, "--out", str(tmp_path / "b.json"), "--epochs", "2", "--resume", str(state)]) == 2
+        err = capsys.readouterr().err
+        assert str(state) in err and "schema_version" in err
+
     @pytest.mark.parametrize("token", ["Infinity", "NaN", "1e400"])
     def test_non_finite_checkpoint_dim_is_data_error(self, workdir, tmp_path, capsys, token):
         ckpt = tmp_path / "model.json"

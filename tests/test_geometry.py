@@ -13,12 +13,12 @@ from event2vec import (
     project_to_ball,
 )
 from event2vec.geometry import (
-    DEFAULT_BALL_MARGIN,
+    BALL_MARGIN,
+    _ball_limit,
     _clip_norm_vjp,
     _log_map_origin_vjp,
     _mobius_add_vjp,
     _poincare_dist_sq_vjp,
-    _project_to_ball_vjp,
 )
 from helpers import ball_points
 
@@ -160,7 +160,7 @@ def test_project_to_ball_behaviour():
 
     outside = np.array([3.0, 4.0])
     proj = project_to_ball(outside, c)
-    assert abs(np.linalg.norm(proj) - (1.0 - DEFAULT_BALL_MARGIN)) < 1e-12
+    assert abs(np.linalg.norm(proj) - (1.0 - BALL_MARGIN)) < 1e-12
     assert np.array_equal(project_to_ball(proj, c), proj)  # idempotent
     # direction preserved
     assert np.allclose(proj / np.linalg.norm(proj), outside / np.linalg.norm(outside))
@@ -180,8 +180,6 @@ def test_argument_validation():
         mobius_add(np.array([0.1, 0.2]), np.array([0.1]), 1.0)
     with pytest.raises(UsageError):
         clip_norm(np.array([1.0]), 0.0)
-    with pytest.raises(UsageError):
-        project_to_ball(np.array([0.1]), 1.0, margin=1.5)
     with pytest.raises(UsageError):
         log_map_origin(np.array([0.1]), -1.0)
 
@@ -270,6 +268,6 @@ def test_clip_and_projection_vjps_match_fd():
     assert np.allclose(_clip_norm_vjp(over, 1.0, g),
                        _fd_vec(lambda v: clip_norm(v, 1.0), over, g), atol=1e-7)
     assert np.array_equal(_clip_norm_vjp(under, 1.0, g), g)  # identity branch is exact
-    assert np.allclose(_project_to_ball_vjp(over, 1.0, DEFAULT_BALL_MARGIN, g),
+    # The projection's VJP is the clip's at the ball limit.
+    assert np.allclose(_clip_norm_vjp(over, _ball_limit(1.0), g),
                        _fd_vec(lambda v: project_to_ball(v, 1.0), over, g), atol=1e-7)
-    assert np.array_equal(_project_to_ball_vjp(under, 1.0, DEFAULT_BALL_MARGIN, g), g)

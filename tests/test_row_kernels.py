@@ -123,6 +123,4 @@ def test_clip_kernels_match_public_functions(seed, dim, c, ratio):
     x, g = _row(rng, dim, ratio * limit), rng.normal(size=dim)
     assert geo._clip_row(x, limit).tobytes() == project_to_ball(x, c).tobytes()
     assert geo._clip_row(x, limit).tobytes() == clip_norm(x, limit).tobytes()
-    assert geo._clip_row_vjp(x, limit, g).tobytes() == geo._project_to_ball_vjp(
-        x, c, geo.DEFAULT_BALL_MARGIN, g).tobytes()
     assert geo._clip_row_vjp(x, limit, g).tobytes() == geo._clip_norm_vjp(x, limit, g).tobytes()
