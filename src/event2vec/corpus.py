@@ -195,16 +195,28 @@ def compose_vectors(
 
     Euclidean composition is the plain sum; hyperbolic composition is
     the left-to-right Mobius fold (order matters there).
+
+    Occurrences of one span length are composed together, in memory
+    proportional to the spans themselves; every vector is the one a
+    per-occurrence fold gives, bit for bit, and comes back in the
+    occurrences' order.
     """
-    out = []
-    for occ in occurrences:
-        ids = [_word_id(params.vocab, tok) for tok in occ.tokens]
-        rows = params.embeddings[ids]
-        if params.geometry.is_hyperbolic:
-            vec = rows[0]
-            for row in rows[1:]:
-                vec = geo.mobius_add(vec, row, params.geometry.c)
+    # Resolved in occurrence order, so an unknown token fails as it did
+    # one occurrence at a time.
+    ids = [[_word_id(params.vocab, tok) for tok in occ.tokens] for occ in occurrences]
+    groups: dict[int, list[int]] = {}
+    for i, span in enumerate(ids):
+        groups.setdefault(len(span), []).append(i)
+    g = params.geometry
+    vecs: list = [None] * len(ids)
+    for members in groups.values():
+        rows = params.embeddings[np.array([ids[i] for i in members], dtype=np.int64)]
+        if g.is_hyperbolic:
+            folded = rows[:, 0]
+            for t in range(1, rows.shape[1]):
+                folded = geo.mobius_add(folded, rows[:, t], g.c)
         else:
-            vec = rows.sum(axis=0)
-        out.append((vec, occ.label))
-    return out
+            folded = rows.sum(axis=1)
+        for i, vec in zip(members, folded):
+            vecs[i] = vec
+    return [(vec, occ.label) for vec, occ in zip(vecs, occurrences)]

@@ -1,8 +1,9 @@
 """Shared test utilities: tiny models, ball samplers, finite-difference gradients,
 document corruption and the schema version 1 form, the per-step reference
 recurrence built from the public geometry functions, the per-row
-reference rankers and silhouette, and the skip-gram pair loss and
-per-pair training loop."""
+reference rankers and silhouette, the per-trial additivity curve and
+per-occurrence composition, and the skip-gram pair loss and per-pair
+training loop."""
 
 import base64
 
@@ -20,9 +21,10 @@ from event2vec import (
 )
 from event2vec import geometry as geo
 from event2vec.baseline import NegativeSampler, _sigmoid
+from event2vec.corpus import _word_id
 from event2vec.evaluation import _cosine, _pairwise_distances
 from event2vec.fileio import array_field
-from event2vec.model import HiddenTrajectory, _dropout_masks
+from event2vec.model import HiddenTrajectory, _dropout_masks, forward
 from event2vec.seeding import rng_for
 
 PARAM_ARRAYS = ("embeddings", "decoder_weights", "decoder_bias")
@@ -180,7 +182,10 @@ def reference_backward(params, traj, g_states, acc) -> None:
 # one Python iteration per row. ``evaluation.analogy``,
 # ``evaluation.nearest_neighbors`` and ``evaluation.silhouette`` score whole
 # arrays at once and must return the same names, with scores that agree to
-# rounding.
+# rounding. The additivity curve and pattern composition as first written:
+# one sequence or occurrence at a time. ``evaluation.additivity_curve`` and
+# ``corpus.compose_vectors`` compose all those of one length together and
+# must match these byte for byte.
 
 
 def _reference_take(names, order, scores, skip, k):
@@ -238,6 +243,39 @@ def reference_silhouette(points, labels, metric, c=1.0):
         denom = max(a, b)
         scores[i] = 0.0 if denom <= 0.0 else (b - a) / denom
     return float(scores.mean()), {lab: float(scores[idx].mean()) for lab, idx in members.items()}
+
+
+def reference_additivity_curve(params, lengths, num_trials, seed) -> list[float]:
+    """Mean cosines ``evaluation.additivity_curve`` must reproduce exactly:
+    one ``forward`` call and one ideal sum per trial."""
+    rng = rng_for(seed, "eval")
+    means = []
+    for length in lengths:
+        total = 0.0
+        for _ in range(num_trials):
+            seq = rng.integers(0, params.vocab_size, size=length)
+            h = forward(params, seq).final_state
+            ideal = params.embeddings[seq].sum(axis=0)
+            total += _cosine(h, ideal)
+        means.append(total / num_trials)
+    return means
+
+
+def reference_compose_vectors(params, occurrences):
+    """``corpus.compose_vectors`` one occurrence at a time: a row sum, or a
+    left-to-right Mobius fold in the ball."""
+    out = []
+    for occ in occurrences:
+        ids = [_word_id(params.vocab, tok) for tok in occ.tokens]
+        rows = params.embeddings[ids]
+        if params.geometry.is_hyperbolic:
+            vec = rows[0]
+            for row in rows[1:]:
+                vec = mobius_add(vec, row, params.geometry.c)
+        else:
+            vec = rows.sum(axis=0)
+        out.append((vec, occ.label))
+    return out
 
 
 # ---------------------------------------------------------------------------

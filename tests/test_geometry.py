@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from event2vec import (
     BallDomainError,
@@ -146,6 +147,65 @@ def test_distance_batch_shape():
     y = ball_points(rng, 8, 3, 1.0)
     assert poincare_distance(x, y, 1.0).shape == (8,)
     assert np.ndim(poincare_distance(x[0], y[0], 1.0)) == 0
+
+
+# ---------------------------------------------------------------------------
+# Row independence: a stack of rows gives each row's own result, bit for bit
+# ---------------------------------------------------------------------------
+#
+# Batched callers (the additivity curve, pattern composition) step whole
+# (n, d) stacks and rely on this. d up to 130 crosses numpy's 8-wide unrolled
+# reduction and its 128-element pairwise block.
+
+
+def rows_near(rng, n: int, d: int, radius: float, outside: bool) -> np.ndarray:
+    """n random rows: about half within a relative 1e-6 of ``radius`` (past it
+    too when ``outside``), the rest anywhere inside, a few exactly zero."""
+    v = rng.normal(size=(n, d))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    frac = rng.uniform(0.0, 1.0, size=n)
+    near = rng.random(n) < 0.5
+    frac[near] = 1.0 - rng.uniform(-1e-6 if outside else 1e-9, 1e-6, size=near.sum())
+    frac[rng.random(n) < 0.1] = 0.0
+    return v * (frac * radius)[:, None]
+
+
+def assert_rowwise(stacked: np.ndarray, per_row) -> None:
+    for i, row in enumerate(stacked):
+        assert row.tobytes() == per_row(i).tobytes(), i
+
+
+ROW_STACKS = dict(
+    n=st.integers(1, 64), d=st.integers(1, 130), c=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**ROW_STACKS)
+def test_clip_norm_is_row_independent(n, d, c, seed):
+    rng = np.random.default_rng(seed)
+    max_norm = c  # the curvature's range serves as the clip radius's
+    x = rows_near(rng, n, d, max_norm, outside=True)
+    assert_rowwise(clip_norm(x, max_norm), lambda i: clip_norm(x[i], max_norm))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**ROW_STACKS)
+def test_project_to_ball_is_row_independent(n, d, c, seed):
+    rng = np.random.default_rng(seed)
+    # Rows about the projection limit and about the boundary itself.
+    radius = _ball_limit(c) if seed % 2 else 1.0 / np.sqrt(c)
+    x = rows_near(rng, n, d, radius, outside=True)
+    assert_rowwise(project_to_ball(x, c), lambda i: project_to_ball(x[i], c))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**ROW_STACKS)
+def test_mobius_add_is_row_independent(n, d, c, seed):
+    rng = np.random.default_rng(seed)
+    x = rows_near(rng, n, d, 1.0 / np.sqrt(c), outside=False)
+    y = rows_near(rng, n, d, 1.0 / np.sqrt(c), outside=False)
+    assert_rowwise(mobius_add(x, y, c), lambda i: mobius_add(x[i], y[i], c))
 
 
 # ---------------------------------------------------------------------------
