@@ -27,7 +27,6 @@ from .model import (
     gradients,
     init_params,
     load_checkpoint,
-    loss_consist,
     loss_pred,
     loss_recon,
     predict_logits,
@@ -60,7 +59,6 @@ __all__ = [
     "load_checkpoint",
     "load_jsonl",
     "log_map_origin",
-    "loss_consist",
     "loss_pred",
     "loss_recon",
     "mobius_add",

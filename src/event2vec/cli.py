@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -235,21 +236,24 @@ def _train_config_from_args(args) -> trainer.TrainConfig:
     put("checkpoint_every", args.checkpoint_every)
     put("seed", args.seed if args.seed is not None else (None if "seed" in fields else _resolve_seed(None)))
 
-    kind = args.geometry or (fields.get("geometry") or {}).get("kind") or EUCLIDEAN
-    if kind == HYPERBOLIC:
+    # The file's geometry is read as Geometry.from_dict reads it; the
+    # kind's default applies when the file has none or --geometry
+    # switches kind. Flags then override single values.
+    default = trainer.TrainConfig().geometry
+    geometry = Geometry.from_dict(fields["geometry"]) if "geometry" in fields else default
+    if args.geometry is not None and args.geometry != geometry.kind:
+        geometry = default if args.geometry == default.kind else Geometry(args.geometry)
+    if geometry.is_hyperbolic:
         if args.max_norm is not None:
             raise UsageError("--max-norm applies to euclidean geometry only")
-        c = args.c if args.c is not None else (fields.get("geometry") or {}).get("c", 1.0)
-        fields["geometry"] = {"kind": HYPERBOLIC, "c": c}
+        if args.c is not None:
+            geometry = Geometry(HYPERBOLIC, c=args.c)
     else:
         if args.c is not None:
             raise UsageError("--c applies to hyperbolic geometry only")
-        max_norm = args.max_norm
-        if max_norm is None:
-            max_norm = (fields.get("geometry") or {}).get("max_norm", 10.0)
-        elif max_norm == "none":
-            max_norm = None
-        fields["geometry"] = {"kind": EUCLIDEAN, "max_norm": max_norm}
+        if args.max_norm is not None:
+            geometry = Geometry(EUCLIDEAN, max_norm=None if args.max_norm == "none" else args.max_norm)
+    fields["geometry"] = geometry
     return trainer.TrainConfig.from_dict(fields)
 
 
@@ -284,13 +288,7 @@ def _cmd_train(args) -> int:
         "dim": params.dim,
     }
     if log:
-        report["final"] = {
-            "epoch": log[-1].epoch,
-            "mean_total": log[-1].mean_total,
-            "mean_pred": log[-1].mean_pred,
-            "mean_recon": log[-1].mean_recon,
-            "mean_consist": log[-1].mean_consist,
-        }
+        report["final"] = {k: v for k, v in asdict(log[-1]).items() if k != "wall_seconds"}
     _emit(report)
     return EXIT_OK
 

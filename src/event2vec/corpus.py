@@ -162,21 +162,16 @@ def find_pattern_occurrences(
     if max_per_pattern < 1:
         raise UsageError(f"max_per_pattern must be >= 1, got {max_per_pattern}")
     out: list[PatternOccurrence] = []
+    sentence_tags = [tuple(tag for _, tag in sent) for sent in corpus.sentences]
     for p_index, pattern in enumerate(patterns):
         pattern = tuple(normalize_tag(t) for t in pattern)
-        found: list[PatternOccurrence] = []
-        for s_index, sent in enumerate(corpus.sentences):
-            tags = [tag for _, tag in sent]
-            for start in range(0, len(sent) - len(pattern) + 1):
-                if tuple(tags[start : start + len(pattern)]) == pattern:
-                    found.append(
-                        PatternOccurrence(
-                            pattern=pattern,
-                            tokens=tuple(tok for tok, _ in sent[start : start + len(pattern)]),
-                            sentence_index=s_index,
-                            start_index=start,
-                        )
-                    )
+        n, first = len(pattern), pattern[0]
+        found = [
+            PatternOccurrence(pattern, tuple(tok for tok, _ in sent[start : start + n]), s_index, start)
+            for s_index, (sent, tags) in enumerate(zip(corpus.sentences, sentence_tags))
+            for start in range(len(tags) - n + 1)
+            if tags[start] == first and tags[start : start + n] == pattern
+        ]
         if not found:
             warnings.warn(f"pattern {'-'.join(pattern)} has no occurrences; skipped", stacklevel=2)
             continue

@@ -192,13 +192,9 @@ def project_to_ball(x, c: float):
 
     Identity for interior points, so gradients flow untouched there.
     """
-    x = _as_f64(x)
     if c <= 0.0:
         raise UsageError(f"project_to_ball needs c > 0, got {c}")
-    limit = _ball_limit(c)
-    r = np.sqrt(_sqnorm(x))
-    scale = np.where(r > limit, limit / np.maximum(r, MIN_DENOM), 1.0)
-    return x * scale
+    return clip_norm(x, _ball_limit(c))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +217,12 @@ def _mobius_add_vjp(x, y, c: float, g) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_map_origin_vjp(x, c: float, g) -> np.ndarray:
-    """Backpropagate through ``log_0``: J = f(r) I + (f'(r)/r) x x^T."""
+    """Backpropagate through ``log_0``: J = f(r) I + (f'(r)/r) x x^T.
+
+    Unlike the distance VJP this ignores the arctanh guard. The model
+    only maps states, which are clipped to ``(1 - BALL_MARGIN)/sqrt(c)``,
+    so ``sqrt(c)|x|`` stays below ``ATANH_BOUND`` there.
+    """
     x, g = _as_f64(x), _as_f64(g)
     s = np.sqrt(c)
     r2 = _sqnorm(x)
@@ -237,24 +238,27 @@ def _log_map_origin_vjp(x, c: float, g) -> np.ndarray:
 
 
 def _dist_sq_weight(r: np.ndarray, c: float) -> np.ndarray:
-    """d(d_c^2)/dm = w(|m|) * m for m the Mobius difference; w(0) = 8."""
+    """d(d_c^2)/dm = w(|m|) * m for m the Mobius difference; w(0) = 8.
+
+    Zero where ``sqrt(c)|m|`` reached ``ATANH_BOUND``: the guarded
+    distance is constant in ``|m|`` there.
+    """
     s = np.sqrt(c)
     sr = np.clip(s * r, 0.0, ATANH_BOUND)
     series = 8.0 + (32.0 / 3.0) * sr * sr
     exact = 8.0 * np.arctanh(sr) / np.maximum(sr * (1.0 - sr * sr), MIN_DENOM)
-    return np.where(sr < 1e-3, series, exact)
+    return np.where(sr < 1e-3, series, np.where(sr < ATANH_BOUND, exact, 0.0))
 
 
-def _poincare_dist_sq_vjp(x, y, m, c: float, g) -> tuple[np.ndarray, np.ndarray]:
-    """Backpropagate a scalar-per-row ``g`` through ``d_c(x, y)^2``.
+def _poincare_dist_sq_vjp(x, y, m, c: float, weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """Backpropagate ``weight * sum(d_c(x, y)^2)`` to ``x`` and ``y``.
 
     ``m`` is the Mobius difference ``(-x) (+)_c y`` the forward value
     was computed from.
     """
     x, y = _as_f64(x), _as_f64(y)
-    g = np.asarray(g, dtype=np.float64)[..., None] if np.ndim(g) == np.ndim(x) - 1 else _as_f64(g)
     r = np.sqrt(_sqnorm(m))
-    gm = g * _dist_sq_weight(r, c) * m
+    gm = weight * _dist_sq_weight(r, c) * m
     gnx, gy = _mobius_add_vjp(-x, y, c, gm)
     return -gnx, gy
 

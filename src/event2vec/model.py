@@ -292,54 +292,34 @@ def _consist_value(params: ModelParams, traj_a: HiddenTrajectory, traj_b: Hidden
     return float(np.sum(delta * delta))
 
 
-def loss_consist(params: ModelParams, seq: np.ndarray, dropout: DropoutSpec, seed2: int) -> float:
-    """Squared divergence between two independently masked trajectories.
-
-    The passes use mask seeds ``dropout.seed`` and ``seed2``; equal
-    seeds (or rate 0) give identical trajectories and a zero loss.
-    """
-    if dropout.rate == 0.0:
-        return 0.0
-    traj_a = forward(params, seq, dropout)
-    traj_b = forward(params, seq, DropoutSpec(dropout.rate, seed2))
-    return _consist_value(params, traj_a, traj_b)
-
-
 @dataclass(frozen=True)
 class LossBreakdown:
     pred: float
     recon: float
     consist: float
     total: float
-    lambda_recon: float = 1.0
-    lambda_consist: float = 1.0
 
-    def to_dict(self) -> dict:
-        return {
-            "pred": self.pred,
-            "recon": self.recon,
-            "consist": self.consist,
-            "total": self.total,
-            "lambda_recon": self.lambda_recon,
-            "lambda_consist": self.lambda_consist,
-        }
+    @classmethod
+    def weighted(cls, pred: float, recon: float, consist: float, lambda_recon: float,
+                 lambda_consist: float) -> "LossBreakdown":
+        return cls(pred, recon, consist, pred + lambda_recon * recon + lambda_consist * consist)
 
 
-def _passes(params: ModelParams, seq: np.ndarray, dropout: DropoutSpec | None):
-    """Forward passes feeding the combined loss.
+def _passes(params: ModelParams, seq: np.ndarray, dropout: DropoutSpec | None) -> list[HiddenTrajectory]:
+    """The distinct forward passes feeding the combined loss.
 
     With dropout active: two independently masked passes (prediction
-    reads the first, consistency compares both) plus a clean pass for
-    reconstruction. Without: one clean pass serves prediction and
+    reads the first, consistency compares both) and last a clean pass
+    for reconstruction. Without: one clean pass serves prediction and
     reconstruction, and consistency vanishes.
     """
     if dropout is not None and dropout.rate > 0.0:
-        pass_a = forward(params, seq, dropout)
-        pass_b = forward(params, seq, DropoutSpec(dropout.rate, consistency_seed(dropout.seed)))
-        clean = forward(params, seq, None)
-        return pass_a, pass_b, clean
-    clean = forward(params, seq, None)
-    return clean, None, clean
+        return [
+            forward(params, seq, dropout),
+            forward(params, seq, DropoutSpec(dropout.rate, consistency_seed(dropout.seed))),
+            forward(params, seq, None),
+        ]
+    return [forward(params, seq, None)]
 
 
 def total_loss(
@@ -349,18 +329,11 @@ def total_loss(
     lambda_consist: float = 1.0,
     dropout: DropoutSpec | None = None,
 ) -> LossBreakdown:
-    pass_a, pass_b, clean = _passes(params, seq, dropout)
-    pred = loss_pred(params, pass_a) if len(np.atleast_1d(seq)) >= 2 else 0.0
-    recon = loss_recon(params, clean)
-    consist = _consist_value(params, pass_a, pass_b) if pass_b is not None else 0.0
-    return LossBreakdown(
-        pred=pred,
-        recon=recon,
-        consist=consist,
-        total=pred + lambda_recon * recon + lambda_consist * consist,
-        lambda_recon=lambda_recon,
-        lambda_consist=lambda_consist,
-    )
+    passes = _passes(params, seq, dropout)
+    pred = loss_pred(params, passes[0]) if len(np.atleast_1d(seq)) >= 2 else 0.0
+    recon = loss_recon(params, passes[-1])
+    consist = _consist_value(params, passes[0], passes[1]) if len(passes) > 1 else 0.0
+    return LossBreakdown.weighted(pred, recon, consist, lambda_recon, lambda_consist)
 
 
 def _backward_through_trajectory(
@@ -444,7 +417,7 @@ def _add_recon_grads(
         d = geo._distance_of_difference(m, c)
         value = float(np.sum(d * d))
         if weight != 0.0:
-            g_back, g_hprev = geo._poincare_dist_sq_vjp(back, h_prev, m, c, np.full(len(d), weight))
+            g_back, g_hprev = geo._poincare_dist_sq_vjp(back, h_prev, m, c, weight)
             g_hcur, g_negemb = geo._mobius_add_vjp(h_cur, -emb, c, g_back)
             g_states[1:] += g_hcur
             g_states[:-1] += g_hprev
@@ -475,7 +448,7 @@ def _add_consist_grads(
         d = geo._distance_of_difference(m, g.c)
         value = float(np.sum(d * d))
         if weight != 0.0:
-            ga, gb = geo._poincare_dist_sq_vjp(a, b, m, g.c, np.full(len(d), weight))
+            ga, gb = geo._poincare_dist_sq_vjp(a, b, m, g.c, weight)
             g_a[1:] += ga
             g_b[1:] += gb
         return value
@@ -506,34 +479,17 @@ def gradients(
     """
     if not params.has_decoder:
         raise UsageError("training requires a decoder; build params with with_decoder=True")
-    pass_a, pass_b, clean = _passes(params, seq, dropout)
+    passes = _passes(params, seq, dropout)
     grads = zero_grads(params) if into is None else into
-
-    g_a = np.zeros_like(pass_a.states)
-    pred = _add_pred_grads(params, pass_a, g_a, grads)
-
-    if pass_b is not None:
-        g_b = np.zeros_like(pass_b.states)
-        g_clean = np.zeros_like(clean.states)
-        consist = _add_consist_grads(params, pass_a, pass_b, lambda_consist, g_a, g_b)
-        recon = _add_recon_grads(params, clean, lambda_recon, g_clean, grads)
-        _backward_through_trajectory(params, pass_a, g_a, grads)
-        _backward_through_trajectory(params, pass_b, g_b, grads)
-        _backward_through_trajectory(params, clean, g_clean, grads)
-    else:
-        consist = 0.0
-        recon = _add_recon_grads(params, clean, lambda_recon, g_a, grads)
-        _backward_through_trajectory(params, pass_a, g_a, grads)
-
-    losses = LossBreakdown(
-        pred=pred,
-        recon=recon,
-        consist=consist,
-        total=pred + lambda_recon * recon + lambda_consist * consist,
-        lambda_recon=lambda_recon,
-        lambda_consist=lambda_consist,
-    )
-    return losses, grads
+    g_states = [np.zeros_like(traj.states) for traj in passes]
+    pred = _add_pred_grads(params, passes[0], g_states[0], grads)
+    consist = 0.0
+    if len(passes) > 1:
+        consist = _add_consist_grads(params, passes[0], passes[1], lambda_consist, g_states[0], g_states[1])
+    recon = _add_recon_grads(params, passes[-1], lambda_recon, g_states[-1], grads)
+    for traj, g_traj in zip(passes, g_states):
+        _backward_through_trajectory(params, traj, g_traj, grads)
+    return LossBreakdown.weighted(pred, recon, consist, lambda_recon, lambda_consist), grads
 
 
 # ---------------------------------------------------------------------------

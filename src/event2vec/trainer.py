@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO
 
 import numpy as np
@@ -102,16 +102,6 @@ class EpochRecord:
     mean_recon: float
     mean_consist: float
     wall_seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "mean_total": self.mean_total,
-            "mean_pred": self.mean_pred,
-            "mean_recon": self.mean_recon,
-            "mean_consist": self.mean_consist,
-            "wall_seconds": self.wall_seconds,
-        }
 
 
 TrainLog = list[EpochRecord]
@@ -313,7 +303,7 @@ def train(
         )
         log.append(record)
         if log_stream is not None:
-            log_stream.write(json.dumps(record.to_dict()) + "\n")
+            log_stream.write(json.dumps(asdict(record)) + "\n")
             log_stream.flush()
         done = epoch + 1
         if config.checkpoint_every > 0 and done % config.checkpoint_every == 0 and done < config.epochs:

@@ -1,9 +1,9 @@
 """Shared test utilities: tiny models, ball samplers, finite-difference gradients,
 document corruption and the schema version 1 form, the per-step reference
 recurrence built from the public geometry functions, the per-row
-reference rankers and silhouette, the per-trial additivity curve and
-per-occurrence composition, and the skip-gram pair loss and per-pair
-training loop."""
+reference rankers and silhouette, the per-trial additivity curve,
+the per-pattern occurrence scan and per-occurrence composition, and the
+skip-gram pair loss and per-pair training loop."""
 
 import base64
 
@@ -21,7 +21,7 @@ from event2vec import (
 )
 from event2vec import geometry as geo
 from event2vec.baseline import NegativeSampler, _sigmoid
-from event2vec.corpus import _word_id
+from event2vec.corpus import PatternOccurrence, _word_id, normalize_tag
 from event2vec.evaluation import _cosine, _pairwise_distances
 from event2vec.fileio import array_field
 from event2vec.model import HiddenTrajectory, _dropout_masks, forward
@@ -259,6 +259,27 @@ def reference_additivity_curve(params, lengths, num_trials, seed) -> list[float]
             total += _cosine(h, ideal)
         means.append(total / num_trials)
     return means
+
+
+def reference_find_pattern_occurrences(corpus, patterns, max_per_pattern, seed):
+    """``corpus.find_pattern_occurrences`` as first written: every pattern
+    rescans every sentence's tags, comparing a slice at each start."""
+    out = []
+    for p_index, pattern in enumerate(patterns):
+        pattern = tuple(normalize_tag(t) for t in pattern)
+        found = []
+        for s_index, sent in enumerate(corpus.sentences):
+            tags = [tag for _, tag in sent]
+            for start in range(0, len(sent) - len(pattern) + 1):
+                if tuple(tags[start : start + len(pattern)]) == pattern:
+                    tokens = tuple(tok for tok, _ in sent[start : start + len(pattern)])
+                    found.append(PatternOccurrence(pattern, tokens, s_index, start))
+        if len(found) > max_per_pattern:
+            rng = rng_for(seed, "sample", p_index)
+            pick = np.sort(rng.choice(len(found), size=max_per_pattern, replace=False))
+            found = [found[i] for i in pick]
+        out.extend(found)
+    return out
 
 
 def reference_compose_vectors(params, occurrences):

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from event2vec.cli import run
+from event2vec.geometry import Geometry
 from event2vec.lifepath import default_graph
 from event2vec.model import load_checkpoint
+from event2vec.trainer import TrainConfig
 from helpers import poke_first, to_v1
 
 
@@ -425,6 +427,34 @@ class TestTrain:
         report = last_json(capsys)
         assert report["dim"] == 6  # flag wins
         assert report["epochs_run"] == 1  # file value survives
+
+    def test_config_file_geometry_reads_as_train_config(self, workdir, tmp_path, capsys):
+        # An unclipped geometry written by TrainConfig.to_dict has no
+        # max_norm key; it must not pick up the default clip.
+        config = tmp_path / "config.json"
+        written = TrainConfig(epochs=1, dim=3, geometry=Geometry("euclidean"))
+        config.write_text(json.dumps(written.to_dict()))
+        out = str(tmp_path / "m.json")
+        base = ["train", "--data", workdir["data"], "--out", out, "--config", str(config)]
+        assert run(base) == 0
+        assert last_json(capsys)["geometry"] == {"kind": "euclidean"}
+        assert load_checkpoint(out).geometry == TrainConfig.from_dict(written.to_dict()).geometry
+        # Switching kind takes the new kind's default; keeping it keeps the file's value.
+        assert run(base + ["--geometry", "hyperbolic"]) == 0
+        assert last_json(capsys)["geometry"] == {"kind": "hyperbolic", "c": 1.0}
+        assert run(base + ["--geometry", "euclidean"]) == 0
+        assert last_json(capsys)["geometry"] == {"kind": "euclidean"}
+        config.write_text(json.dumps({"geometry": {"kind": "hyperbolic", "c": 2.0}, "epochs": 1, "dim": 3}))
+        assert run(base + ["--geometry", "euclidean"]) == 0
+        assert last_json(capsys)["geometry"] == TrainConfig().geometry.to_dict()
+
+    def test_report_final_is_last_log_line(self, workdir, tmp_path, capsys):
+        log = str(tmp_path / "log.jsonl")
+        assert run(["train", "--data", workdir["data"], "--out", str(tmp_path / "m.json"),
+                    "--epochs", "2", "--dim", "3", "--log", log]) == 0
+        last = json.loads(open(log).read().strip().split("\n")[-1])
+        del last["wall_seconds"]
+        assert last_json(capsys)["final"] == last
 
     def test_config_file_errors(self, workdir, tmp_path, capsys):
         bad_field = tmp_path / "bad.json"

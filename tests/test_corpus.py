@@ -24,6 +24,7 @@ from event2vec.corpus import (
     parse_patterns,
     to_sequences,
 )
+from helpers import reference_find_pattern_occurrences
 
 SAMPLE_PATH = str(resources.files("event2vec").joinpath("data/sample_tagged_corpus.txt"))
 
@@ -161,6 +162,17 @@ class TestPatterns:
         with pytest.warns(UserWarning, match="no occurrences"):
             occ = find_pattern_occurrences(corp, [("ZZ", "QQ"), ("NN", "NN")])
         assert all(o.label == "NN-NN" for o in occ)
+
+    @pytest.mark.parametrize("cap,seed", [(1000, 0), (25, 0), (25, 7)])
+    def test_matches_per_pattern_scan(self, cap, seed):
+        # The bundled sample with patterns of one to four tags, normalized
+        # and not, some capped by the seeded subsample; the skipped ZZ-NN
+        # still takes its place in the subsample seeds.
+        corp = load_tagged_corpus(SAMPLE_PATH)
+        patterns = parse_patterns("AT-JJ-NN,IN-AT-NN,ZZ-NN,PPS-VBD,NN-NN,nn,VBD-AT,at-nn-in-at")
+        with pytest.warns(UserWarning, match="ZZ-NN"):
+            found = find_pattern_occurrences(corp, patterns, cap, seed)
+        assert found == reference_find_pattern_occurrences(corp, patterns, cap, seed)
 
     def test_validation(self, tmp_path):
         corp = corpus_from("a/NN\n", tmp_path)

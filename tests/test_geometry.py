@@ -14,6 +14,7 @@ from event2vec import (
     project_to_ball,
 )
 from event2vec.geometry import (
+    ATANH_BOUND,
     BALL_MARGIN,
     _ball_limit,
     _clip_norm_vjp,
@@ -311,6 +312,24 @@ def test_dist_sq_vjp_matches_fd(c):
     gx, gy = _poincare_dist_sq_vjp(x, y, mobius_add(-x, y, c), c, 1.0)
     assert np.allclose(gx, _fd_vec(lambda v: poincare_distance(v, y, c) ** 2, x, 1.0), atol=1e-6)
     assert np.allclose(gy, _fd_vec(lambda v: poincare_distance(x, v, c) ** 2, y, 1.0), atol=1e-6)
+
+
+@pytest.mark.parametrize("c", [1.0, 2.5])
+@pytest.mark.parametrize("frac_x,frac_y", [(0.9999, 0.9999), (0.99999, 0.9999)])
+def test_dist_sq_vjp_follows_the_arctanh_guard(c, frac_x, frac_y):
+    # Nearly antipodal rim points: sqrt(c)|m| passes ATANH_BOUND, so the
+    # computed distance is constant nearby and its gradient is zero.
+    u = np.random.default_rng(31).normal(size=4)
+    u /= np.linalg.norm(u)
+    x, y = -frac_x * u / np.sqrt(c), frac_y * u / np.sqrt(c)
+    m = mobius_add(-x, y, c)
+    assert np.sqrt(c) * np.linalg.norm(m) >= ATANH_BOUND
+    gx, gy = _poincare_dist_sq_vjp(x, y, m, c, 1.0)
+    for grad, fun, at in ((gx, lambda v: poincare_distance(v, y, c) ** 2, x),
+                          (gy, lambda v: poincare_distance(x, v, c) ** 2, y)):
+        fd = _fd_vec(fun, at, 1.0, eps=1e-6)
+        assert np.array_equal(fd, _fd_vec(fun, at, 1.0, eps=1e-7))  # converged
+        assert np.allclose(grad, fd, atol=1e-6)
 
 
 def test_dist_sq_vjp_coincident_points_is_zero():

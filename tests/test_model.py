@@ -26,7 +26,6 @@ from event2vec import (
     gradients,
     init_params,
     load_checkpoint,
-    loss_consist,
     loss_pred,
     loss_recon,
     mobius_add,
@@ -34,6 +33,7 @@ from event2vec import (
     save_checkpoint,
     total_loss,
 )
+from event2vec.geometry import ATANH_BOUND
 from event2vec.model import _dropout_masks, zero_grads
 from event2vec.seeding import derive_seed
 from helpers import fd_total_loss_grads, max_rel_err, tiny_params, to_v1
@@ -223,11 +223,13 @@ class TestLosses:
             loss_recon(params, traj)
 
     def test_consist_hand_case_complementary_masks(self):
-        # dim=1, rate 0.5: seed 1 keeps only step one, seed 0 keeps only
-        # step two (each scaled by 2). With both embeddings equal to 2
-        # the two state paths are (4, 4) and (0, 4): divergence 16.
-        assert np.array_equal(_dropout_masks(DropoutSpec(0.5, 1), 2, 1), [[2.0], [0.0]])
-        assert np.array_equal(_dropout_masks(DropoutSpec(0.5, 0), 2, 1), [[0.0], [2.0]])
+        # dim=1, rate 0.5: seed 22 keeps only step one, its consistency
+        # seed only step two (each scaled by 2). With both embeddings
+        # equal to 2 the two state paths are (4, 4) and (0, 4):
+        # divergence 16.
+        spec = DropoutSpec(0.5, seed=22)
+        assert np.array_equal(_dropout_masks(spec, 2, 1), [[2.0], [0.0]])
+        assert np.array_equal(_dropout_masks(DropoutSpec(0.5, consistency_seed(22)), 2, 1), [[0.0], [2.0]])
         vocab = Vocabulary(["a", "b"])
         params = ModelParams(
             EUCLID,
@@ -236,14 +238,12 @@ class TestLosses:
             decoder_weights=np.zeros((2, 1)),
             decoder_bias=np.zeros(2),
         )
-        value = loss_consist(params, np.array([0, 1]), DropoutSpec(0.5, seed=1), seed2=0)
-        assert value == 16.0
+        assert total_loss(params, np.array([0, 1]), dropout=spec).consist == 16.0
 
     def test_consist_vanishes_without_mask_noise(self):
         params = tiny_params(14, EUCLID)
         seq = np.array([1, 2, 3])
-        assert loss_consist(params, seq, DropoutSpec(0.0, seed=0), seed2=1) == 0.0
-        assert loss_consist(params, seq, DropoutSpec(0.5, seed=3), seed2=3) == 0.0
+        assert total_loss(params, seq, dropout=DropoutSpec(0.0, seed=0)).consist == 0.0
 
     def test_consist_matches_state_divergence(self):
         # Independent route: recompute the loss from the two
@@ -251,9 +251,9 @@ class TestLosses:
         params = tiny_params(15, EUCLID)
         seq = np.array([0, 2, 4, 1])
         spec = DropoutSpec(0.3, seed=9)
-        value = loss_consist(params, seq, spec, seed2=77)
+        value = total_loss(params, seq, dropout=spec).consist
         a = forward(params, seq, spec).states[1:]
-        b = forward(params, seq, DropoutSpec(0.3, seed=77)).states[1:]
+        b = forward(params, seq, DropoutSpec(0.3, seed=consistency_seed(9))).states[1:]
         assert value == pytest.approx(float(np.sum((a - b) ** 2)), rel=1e-12)
 
     def test_total_loss_orchestration_matches_standalone_losses(self):
@@ -262,9 +262,11 @@ class TestLosses:
         spec = DropoutSpec(0.3, seed=21)
         breakdown = total_loss(params, seq, lambda_recon=0.7, lambda_consist=1.9, dropout=spec)
 
-        pred = loss_pred(params, forward(params, seq, spec))
+        pass_a = forward(params, seq, spec)
+        pass_b = forward(params, seq, DropoutSpec(0.3, consistency_seed(spec.seed)))
+        pred = loss_pred(params, pass_a)
         recon = loss_recon(params, forward(params, seq))
-        consist = loss_consist(params, seq, spec, consistency_seed(spec.seed))
+        consist = float(np.sum((pass_a.states[1:] - pass_b.states[1:]) ** 2))
         assert breakdown.pred == pytest.approx(pred, rel=1e-12)
         assert breakdown.recon == pytest.approx(recon, abs=1e-24)
         assert breakdown.consist == pytest.approx(consist, rel=1e-12)
@@ -310,6 +312,22 @@ class TestGradients:
         _, grads = gradients(params, seq, lambda_recon=0.8, lambda_consist=1.3, dropout=dropout)
         fd = fd_total_loss_grads(params, seq, lambda_recon=0.8, lambda_consist=1.3, dropout=dropout)
         assert max_rel_err(grads, fd) < tol
+
+    @pytest.mark.parametrize("seed", [2, 3, 5])
+    def test_matches_finite_differences_where_the_arctanh_guard_fires(self, seed):
+        # Ball embeddings near the rim: the two masked passes end almost
+        # antipodal, so the consistency head's sqrt(c)|m| reaches
+        # ATANH_BOUND, where the computed distance is flat.
+        rng = np.random.default_rng(seed)
+        params = tiny_params(seed, HYPER, vocab_size=6, dim=4, scale=0.6)
+        seq = rng.integers(0, 6, size=5)
+        spec = DropoutSpec(0.3, seed=seed)
+        a = forward(params, seq, spec).states[1:]
+        b = forward(params, seq, DropoutSpec(0.3, consistency_seed(seed))).states[1:]
+        assert np.linalg.norm(mobius_add(-a, b, HYPER.c), axis=1).max() >= ATANH_BOUND
+        _, grads = gradients(params, seq, lambda_recon=0.8, lambda_consist=1.3, dropout=spec)
+        fd = fd_total_loss_grads(params, seq, lambda_recon=0.8, lambda_consist=1.3, dropout=spec)
+        assert max_rel_err(grads, fd) < 1e-4
 
     def test_loss_values_match_total_loss(self):
         params = tiny_params(21, EUCLID)
