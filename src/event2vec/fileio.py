@@ -7,6 +7,15 @@ An array inside such a document is one JSON object,
 float64 bytes in C order, base64-encoded. It is exact by construction
 and about half the size of decimal text. Schema version 1 documents
 hold nested lists of numbers instead; :func:`array_field` reads both.
+
+:func:`write_array_document` writes such a document. Its bytes are
+those of ``json.dumps(doc) + "\n"``, but it copies each base64 payload
+into the output as is: the base64 alphabet holds no character that a
+JSON string escapes, so the JSON encoder's scan of megabytes of payload
+text finds nothing to do.
+
+Every file is written by :func:`atomic_write_text`, which gives it the
+mode a plain ``open`` would (``0o666`` less the umask).
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ import base64
 import json
 import math
 import os
-import tempfile
 from typing import Any
 
 import numpy as np
@@ -27,10 +35,13 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + rename).
 
     Readers never observe a partially written file; on failure the
-    original file, if any, is left untouched.
+    original file, if any, is left untouched. The temp file, and so the
+    file at ``path``, is created with mode ``0o666`` less the umask.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    # 64 random bits name the temp file; O_EXCL makes a clash an error, never a shared file.
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
@@ -45,20 +56,59 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def dump_json(obj: Any, indent: int | None = 2) -> str:
-    """Serialize to JSON with full float precision; ``NaN`` and ``Infinity`` raise.
+def dump_json(obj: Any) -> str:
+    """Serialize to indented JSON with full float precision; ``NaN`` and ``Infinity`` raise.
 
     Python's ``repr`` emits the shortest decimal string that round-trips
     to the same double, so the floats left as JSON numbers (reports,
-    logs, document metadata) survive save/load bit-exactly. Model and
+    graphs, document metadata) survive save/load bit-exactly. Model and
     Adam arrays are not numbers here: :func:`encode_array` stores them
     as raw bytes.
     """
-    return json.dumps(obj, indent=indent, allow_nan=False)
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
-def atomic_write_json(path: str, obj: Any, indent: int | None = 2) -> None:
-    atomic_write_text(path, dump_json(obj, indent=indent) + "\n")
+def atomic_write_json(path: str, obj: Any) -> None:
+    atomic_write_text(path, dump_json(obj) + "\n")
+
+
+class _EncodedArray(dict):
+    """What :func:`encode_array` returns. Its ``"b64"`` payload is base64 text, which JSON writes without escapes."""
+
+
+def _append_json(node, parts: list[str]) -> None:
+    """Append the text of ``json.dumps(node)`` to ``parts``, in pieces.
+
+    Dicts (string keys only, as in every document) are walked here, and
+    the payload of an :class:`_EncodedArray` goes in between quotes
+    unchanged; every other value is encoded by ``json.dumps``, which
+    refuses ``NaN`` and ``Infinity``.
+    """
+    if isinstance(node, dict):
+        encoded = type(node) is _EncodedArray
+        sep = "{"
+        for key, value in node.items():
+            parts.append(f"{sep}{json.dumps(key)}: ")
+            if encoded and key == "b64":
+                parts += ('"', value, '"')
+            else:
+                _append_json(value, parts)
+            sep = ", "
+        parts.append("{}" if sep == "{" else "}")
+    else:
+        parts.append(json.dumps(node, allow_nan=False))
+
+
+def write_array_document(path: str, doc: dict) -> None:
+    """Write a checkpoint or train-state document ``doc`` to ``path`` atomically.
+
+    The file holds exactly ``json.dumps(doc) + "\n"``; only the base64
+    payloads skip the JSON string encoder (see the module docstring).
+    """
+    parts: list[str] = []
+    _append_json(doc, parts)
+    parts.append("\n")
+    atomic_write_text(path, "".join(parts))
 
 
 class _Constant(str):
@@ -109,11 +159,14 @@ def read_json(path: str, what: str) -> Any:
 
 
 def int_field(value, path: str, field: str) -> int:
-    """``int(value)`` for the document field ``field`` of ``path``; bad values raise :class:`DataFormatError`."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DataFormatError(f"{path}: {field} must be an integer, got {value!r}") from None
+    """``value``, the document field ``field`` of ``path``, if it is a JSON integer.
+
+    Anything else raises :class:`DataFormatError`: ``3.0`` and ``true``
+    equal integers in Python but are not integers in the document.
+    """
+    if type(value) is not int:
+        raise DataFormatError(f"{path}: {field} must be an integer, got {value!r}")
+    return value
 
 
 SCHEMA_VERSION = 2
@@ -139,12 +192,14 @@ def encode_array(arr: np.ndarray, field: str) -> dict:
     """The document form of ``arr`` (see the module docstring); it reads back bit-exactly.
 
     A non-finite value raises ``ValueError`` naming ``field``, so no
-    file holding one is written.
+    file holding one is written. The result is an :class:`_EncodedArray`,
+    whose payload :func:`write_array_document` copies into the file unescaped.
     """
     a = np.ascontiguousarray(arr, dtype=ARRAY_DTYPE)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"cannot write {field}: it holds non-finite values")
-    return {"dtype": ARRAY_DTYPE, "shape": list(a.shape), "b64": base64.b64encode(a.tobytes()).decode("ascii")}
+    # b64encode reads the array's buffer directly, without a tobytes() copy.
+    return _EncodedArray(dtype=ARRAY_DTYPE, shape=list(a.shape), b64=base64.b64encode(a).decode("ascii"))
 
 
 def _decode_array(value: dict) -> np.ndarray:

@@ -57,7 +57,7 @@ class Geometry:
             if self.max_norm is not None:
                 raise UsageError("max_norm applies to euclidean geometry only")
         elif self.max_norm is not None and not (0.0 < self.max_norm < np.inf):
-            raise UsageError(f"max_norm must be a finite positive number, got {self.max_norm}")
+            raise UsageError(f"geometry max_norm must be a finite positive number, got {self.max_norm}")
 
     @property
     def is_hyperbolic(self) -> bool:
@@ -79,15 +79,29 @@ class Geometry:
 
     @staticmethod
     def from_dict(d: dict) -> "Geometry":
+        """Read :meth:`to_dict`'s form: ``kind`` and, if present, that kind's number (``c`` or ``max_norm``).
+
+        Any other key, and a value that is not a JSON number, raise
+        :class:`UsageError` naming the geometry.
+        """
         if not isinstance(d, dict):
             raise UsageError(f"a geometry must be a JSON object, got {d!r}")
         kind = d.get("kind")
-        if kind == HYPERBOLIC:
-            return Geometry(HYPERBOLIC, c=float(d.get("c", 1.0)))
-        if kind == EUCLIDEAN:
-            mn = d.get("max_norm")
-            return Geometry(EUCLIDEAN, max_norm=None if mn is None else float(mn))
-        raise UsageError(f"unknown geometry kind: {kind!r}")
+        field = {HYPERBOLIC: "c", EUCLIDEAN: "max_norm"}.get(kind) if isinstance(kind, str) else None
+        if field is None:
+            raise UsageError(f"unknown geometry kind: {kind!r}")
+        extra = [key for key in d if key not in ("kind", field)]
+        if extra:
+            raise UsageError(f"a {kind} geometry holds only kind and {field}, got {', '.join(map(repr, extra))}")
+        if field not in d:
+            return Geometry(kind)
+        value = d[field]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise UsageError(f"geometry {field} must be a number, got {value!r}")
+        try:
+            return Geometry(kind, **{field: float(value)})
+        except OverflowError:
+            raise UsageError(f"geometry {field} must be a finite number, got {value!r}") from None
 
 
 def _as_f64(x) -> np.ndarray:

@@ -28,8 +28,8 @@ import numpy as np
 from . import geometry as geo
 from .dataset import Vocabulary
 from .errors import DataFormatError, UsageError
-from .fileio import (SCHEMA_VERSION, array_field, atomic_write_json, check_schema_version, encode_array,
-                     int_field, read_json)
+from .fileio import (SCHEMA_VERSION, array_field, check_schema_version, encode_array, int_field, read_json,
+                     write_array_document)
 from .seeding import derive_seed, rng_for
 
 
@@ -555,9 +555,12 @@ def model_from_doc(doc, path: str) -> ModelParams:
 def save_checkpoint(params: ModelParams, path: str) -> None:
     """Write params as one JSON document; arrays are raw float64 bytes, so they reload bit-exactly.
 
-    A non-finite array raises ``ValueError`` before any file is written.
+    :func:`fileio.write_array_document` writes the file: the bytes of
+    ``json.dumps(model_to_doc(params))`` plus a newline, with the base64
+    payloads copied in unescaped. A non-finite array raises
+    ``ValueError`` before any file is written.
     """
-    atomic_write_json(path, model_to_doc(params), indent=None)
+    write_array_document(path, model_to_doc(params))
 
 
 def load_checkpoint(path: str) -> ModelParams:

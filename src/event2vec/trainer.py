@@ -20,8 +20,8 @@ import numpy as np
 from . import geometry as geo
 from .dataset import EventDataset
 from .errors import DataFormatError, NumericalError, UsageError, check_config_types
-from .fileio import (SCHEMA_VERSION, array_field, atomic_write_json, check_schema_version, encode_array,
-                     int_field, read_json)
+from .fileio import (SCHEMA_VERSION, array_field, check_schema_version, encode_array, int_field, read_json,
+                     write_array_document)
 from .model import (
     DropoutSpec,
     ModelParams,
@@ -170,7 +170,10 @@ class TrainState:
 def save_train_state(path: str, state: TrainState) -> None:
     """Write ``state`` as one JSON document; the model and Adam arrays reload bit-exactly.
 
-    A non-finite array raises ``ValueError`` before any file is written.
+    The model part is :func:`model.model_to_doc`'s document. Like a
+    checkpoint, the file is written by :func:`fileio.write_array_document`,
+    so it holds the bytes of ``json.dumps(doc)`` plus a newline. A
+    non-finite array raises ``ValueError`` before any file is written.
     """
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -182,7 +185,7 @@ def save_train_state(path: str, state: TrainState) -> None:
         },
         "next_epoch": state.next_epoch,
     }
-    atomic_write_json(path, doc, indent=None)
+    write_array_document(path, doc)
 
 
 def load_train_state(path: str) -> TrainState:

@@ -319,6 +319,54 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "geometry" in err
 
+    @pytest.mark.parametrize("geometry", [
+        {"kind": "euclidean", "max_norm": 10.0, "c": 3},
+        {"kind": "euclidean", "max_nrom": 10.0},
+        {"kind": "euclidean", "max_norm": "10"},
+        {"kind": "euclidean", "max_norm": True},
+    ], ids=["other-kind-field", "misspelt-key", "string-number", "true"])
+    def test_strict_geometry_in_checkpoint_and_config(self, workdir, tmp_path, capsys, geometry):
+        doc = json.loads(open(workdir["model"]).read())
+        doc["geometry"] = geometry
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text(json.dumps(doc))
+        assert run(["neighbors", "--model", str(ckpt), "--event", "marriage"]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "geometry" in err
+        # A bad value in a --config file is a data error too.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"geometry": geometry, "epochs": 1, "dim": 3}))
+        out = tmp_path / "m.json"
+        assert run(["train", "--data", workdir["data"], "--out", str(out), "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "geometry" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [("dim", 4.0), ("adam.step", 1.0), ("next_epoch", 1.0),
+                                             ("next_epoch", True)])
+    def test_float_or_bool_integer_field_is_data_error(self, workdir, tmp_path, capsys, field, value):
+        # int() would take 4.0 and true as 4 and 1; the document must hold an integer.
+        state = tmp_path / "state.json"
+        base = ["train", "--data", workdir["data"], "--dim", "4", "--seed", "0"]
+        assert run([*base, "--out", str(tmp_path / "a.json"), "--epochs", "1", "--state", str(state)]) == 0
+        doc = json.loads(state.read_text())
+        if field == "dim":
+            doc["model"]["dim"] = value
+            ckpt = tmp_path / "model.json"
+            ckpt.write_text(json.dumps(doc["model"]))
+            capsys.readouterr()
+            assert run(["neighbors", "--model", str(ckpt), "--event", "marriage"]) == 2
+            err = capsys.readouterr().err
+            assert str(ckpt) in err and "dim must be an integer" in err
+        else:
+            owner = doc["adam"] if field == "adam.step" else doc
+            owner[field.split(".")[-1]] = value
+        state.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run([*base, "--out", str(tmp_path / "b.json"), "--epochs", "2", "--resume", str(state)]) == 2
+        err = capsys.readouterr().err
+        assert str(state) in err and f"{field} must be an integer" in err
+
     def test_reports_go_to_stdout_logs_to_stderr(self, workdir, tmp_path, capsys):
         out = str(tmp_path / "m.json")
         assert (

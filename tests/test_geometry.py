@@ -267,6 +267,32 @@ def test_geometry_dataclass_validation_and_round_trip():
         Geometry("euclidean").ball_radius
 
 
+@pytest.mark.parametrize("d", [
+    {"kind": "hyperbolic", "max_norm": 5},  # another kind's field
+    {"kind": "euclidean", "c": 3},
+    {"kind": "euclidean", "max_nrom": 5.0},  # misspelt
+    {"kind": "hyperbolic", "c": 1.0, "note": "x"},
+    {"kind": "hyperbolic", "c": True},  # not numbers
+    {"kind": "hyperbolic", "c": "2"},
+    {"kind": "euclidean", "max_norm": None},
+    {"kind": "euclidean", "max_norm": [1.0]},
+    {"kind": "hyperbolic", "c": 10**400},  # a JSON integer too large for a double
+    {"kind": ["hyperbolic"]},
+    {"c": 1.0},
+], ids=["ball-max_norm", "flat-c", "misspelt", "extra-key", "c-true", "c-string", "max_norm-null",
+        "max_norm-list", "c-huge-int", "kind-list", "no-kind"])
+def test_geometry_from_dict_refuses_other_keys_and_non_numbers(d):
+    with pytest.raises(UsageError, match="geometry"):
+        Geometry.from_dict(d)
+
+
+def test_geometry_from_dict_reads_integers_and_defaults():
+    assert Geometry.from_dict({"kind": "hyperbolic", "c": 2}) == Geometry("hyperbolic", c=2.0)
+    assert Geometry.from_dict({"kind": "hyperbolic"}) == Geometry("hyperbolic", c=1.0)
+    assert Geometry.from_dict({"kind": "euclidean", "max_norm": 3}) == Geometry("euclidean", max_norm=3.0)
+    assert Geometry.from_dict({"kind": "euclidean"}) == Geometry("euclidean")
+
+
 # ---------------------------------------------------------------------------
 # Vector-Jacobian products against finite differences
 # ---------------------------------------------------------------------------
