@@ -278,7 +278,6 @@ def _cmd_train(args) -> int:
     finally:
         if log_stream is not None:
             log_stream.close()
-    save_checkpoint(params, args.out)
     report = {
         "out": args.out,
         "epochs_run": len(log),

@@ -31,12 +31,13 @@ import numpy as np
 from .errors import DataFormatError
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + rename).
+def atomic_write_text(path: str, *parts: str) -> None:
+    """Write the text ``parts`` to ``path`` in turn, atomically (temp file + rename).
 
-    Readers never observe a partially written file; on failure the
-    original file, if any, is left untouched. The temp file, and so the
-    file at ``path``, is created with mode ``0o666`` less the umask.
+    Parts are encoded one at a time, never joined. Readers never observe a
+    partially written file; on failure the original file, if any, is left
+    untouched. The temp file, and so the file at ``path``, is created with
+    mode ``0o666`` less the umask.
     """
     directory = os.path.dirname(os.path.abspath(path))
     # 64 random bits name the temp file; O_EXCL makes a clash an error, never a shared file.
@@ -44,7 +45,7 @@ def atomic_write_text(path: str, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(parts)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -108,7 +109,7 @@ def write_array_document(path: str, doc: dict) -> None:
     parts: list[str] = []
     _append_json(doc, parts)
     parts.append("\n")
-    atomic_write_text(path, "".join(parts))
+    atomic_write_text(path, *parts)
 
 
 class _Constant(str):

@@ -10,11 +10,12 @@ products used by the training code. They are exact for the branch
 actually taken by the forward pass (norm clipping and ball projection
 are piecewise maps).
 
-The ``_*_row`` kernels at the end serve the per-step recurrences in
-:mod:`event2vec.model`. Each takes 1-D rows that the caller has already
-validated, checks nothing, and runs only the branch that the clip or
-projection takes. They repeat the arithmetic of their vectorized
-counterparts operation for operation, so their results are bit-identical.
+The ``_*_row`` kernels at the end serve the one per-step recurrence and
+reverse sweep of :mod:`event2vec.model`, ball and clipped flat alike.
+Their rows are valid by construction (ball rows are clipped to the
+projection radius); they check nothing and run only the branch the clip
+takes. They repeat the arithmetic of their vectorized counterparts
+operation for operation, so their results are bit-identical.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def _clip_norm_vjp(x, max_norm: float, g) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Single-row kernels for the per-step recurrences (inputs already validated)
+# Single-row kernels for the per-step recurrence (inputs valid by construction)
 # ---------------------------------------------------------------------------
 #
 # Dot products are ``np.add.reduce`` over the row: the same pairwise

@@ -78,10 +78,14 @@ class TransitionGraph:
 
     @staticmethod
     def from_dict(doc: dict) -> "TransitionGraph":
+        """Read :meth:`to_dict`'s form; anything malformed raises :class:`DataFormatError`.
+
+        ``max_len`` must be a JSON integer, ``explore_prob`` and the weights JSON numbers.
+        """
         try:
             events = tuple(doc["events"])
             transitions = {
-                src: tuple((dst, float(w)) for dst, w in targets)
+                src: tuple((dst, float(_json_number(w, f"transition weight {src!r}->{dst!r}"))) for dst, w in targets)
                 for src, targets in doc["transitions"].items()
             }
             return TransitionGraph(
@@ -89,12 +93,19 @@ class TransitionGraph:
                 start=doc["start"],
                 terminal=doc["terminal"],
                 transitions=transitions,
-                explore_prob=float(doc.get("explore_prob", 0.1)),
-                max_len=int(doc.get("max_len", 16)),
+                explore_prob=float(_json_number(doc.get("explore_prob", 0.1), "explore_prob")),
+                max_len=_json_number(doc.get("max_len", 16), "max_len", int),
                 description=str(doc.get("description", "")),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataFormatError(f"malformed transition graph: {e}") from None
+
+
+def _json_number(value, field: str, kinds=(int, float)):
+    """``value`` if it is a JSON number (integer if ``kinds`` is ``int``); ``true`` and ``"2"`` are neither."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise DataFormatError(f"{field} must be {'an integer' if kinds is int else 'a number'}, got {value!r}")
+    return value
 
 
 def load_graph(path: str) -> TransitionGraph:

@@ -7,6 +7,10 @@ embeddings of the events read so far:
 * Hyperbolic: ``h_t = h_{t-1} (+)_c e_t`` (Mobius addition), with the
   state re-projected into the ball after every step.
 
+Both geometries share one per-step loop (``raw = step(h, e)``, then a
+clip to the geometry's limit) and one reverse sweep. Where flat
+composition never clips, a cumulative sum replaces both.
+
 Three losses attach to trajectories. Next-event prediction scores a
 linear decoder applied to the state (after a log map at the origin in
 the hyperbolic case). Path reconstruction penalises how far stepping
@@ -14,14 +18,18 @@ back by the current event lands from the previous state, evaluated on a
 dropout-free trajectory. Consistency penalises divergence between two
 independently masked trajectories of the same sequence.
 
-Gradients are computed by hand with reverse sweeps over the stored
-trajectories; no autodiff framework is involved.
+Reconstruction and consistency are both sums of squared distances,
+so one head serves both: it differentiates ``sum_i d(x_i, y_i)^2`` for
+the geometry's distance. Gradients are computed by hand with reverse
+sweeps over the stored trajectories; no autodiff framework is involved.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -198,29 +206,23 @@ def forward(
 
     states = np.zeros((t_len + 1, dim))
     if g.is_hyperbolic:
-        c = g.c
         # Mask rescaling can push a row past the boundary; pull it back
-        # before the Mobius step (identity for interior rows).
-        inputs = geo.project_to_ball(masked, c)
-        # The row kernels check nothing: validate every Mobius operand
-        # once per pass, inputs here and the stepped-from states below.
-        geo._check_in_ball(inputs, c, "event input")
-        limit = geo._ball_limit(c)
+        # before the Mobius step (identity for interior rows). The row
+        # kernels check nothing: inputs and states stay inside the ball
+        # because both come out of a clip to the projection radius.
+        inputs = geo.project_to_ball(masked, g.c)
         raw_states = np.empty((t_len, dim))
-        for t in range(t_len):
-            raw_states[t] = raw = geo._mobius_add_row(states[t], inputs[t], c)
-            states[t + 1] = geo._clip_row(raw, limit)
-        geo._check_in_ball(states[:-1], c, "state")
-        return HiddenTrajectory(seq, states, inputs, masked, raw_states, masks)
-
-    inputs = masked
-    raw_states = np.cumsum(inputs, axis=0)
-    if g.max_norm is None or not np.any(np.sum(raw_states**2, axis=1) > g.max_norm**2):
-        states[1:] = raw_states
+        step, limit = partial(geo._mobius_add_row, c=g.c), geo._ball_limit(g.c)
     else:
-        for t in range(t_len):
-            raw_states[t] = raw = states[t] + inputs[t]
-            states[t + 1] = geo._clip_row(raw, g.max_norm)
+        inputs = masked
+        raw_states = np.cumsum(inputs, axis=0)
+        if g.max_norm is None or not np.any(np.sum(raw_states**2, axis=1) > g.max_norm**2):
+            states[1:] = raw_states
+            return HiddenTrajectory(seq, states, inputs, masked, raw_states, masks)
+        step, limit = operator.add, g.max_norm
+    for t in range(t_len):
+        raw_states[t] = raw = step(states[t], inputs[t])
+        states[t + 1] = geo._clip_row(raw, limit)
     return HiddenTrajectory(seq, states, inputs, masked, raw_states, masks)
 
 
@@ -346,28 +348,22 @@ def _backward_through_trajectory(
     branch the forward pass took.
     """
     g = params.geometry
-    t_len = traj.length
-    if g.is_hyperbolic:
-        c = g.c
-        limit = geo._ball_limit(c)
-        g_inputs = np.empty_like(traj.inputs)
-        for t in range(t_len - 1, -1, -1):
-            gr = geo._clip_row_vjp(traj.raw_states[t], limit, g_states[t + 1])
-            gh_prev, g_inputs[t] = geo._mobius_add_row_vjp(traj.states[t], traj.inputs[t], c, gr)
-            g_states[t] += gh_prev
-        g_masked = geo._clip_norm_vjp(traj.masked, limit, g_inputs)
+    if not g.is_hyperbolic and (g.max_norm is None or np.array_equal(traj.raw_states, traj.states[1:])):
+        # Identity chain: each state's gradient flows to every
+        # earlier input, i.e. a reversed cumulative sum.
+        g_masked = np.cumsum(g_states[1:][::-1], axis=0)[::-1]
     else:
-        clipped = g.max_norm is not None and not np.array_equal(traj.raw_states, traj.states[1:])
-        if clipped:
-            g_masked = np.empty_like(traj.inputs)
-            for t in range(t_len - 1, -1, -1):
-                gr = geo._clip_row_vjp(traj.raw_states[t], g.max_norm, g_states[t + 1])
-                g_states[t] += gr
-                g_masked[t] = gr
-        else:
-            # Identity chain: each state's gradient flows to every
-            # earlier input, i.e. a reversed cumulative sum.
-            g_masked = np.cumsum(g_states[1:][::-1], axis=0)[::-1]
+        limit = geo._ball_limit(g.c) if g.is_hyperbolic else g.max_norm
+        g_inputs = np.empty_like(traj.inputs)
+        for t in range(traj.length - 1, -1, -1):
+            gr = geo._clip_row_vjp(traj.raw_states[t], limit, g_states[t + 1])
+            if g.is_hyperbolic:
+                gh_prev, g_inputs[t] = geo._mobius_add_row_vjp(traj.states[t], traj.inputs[t], g.c, gr)
+            else:  # h + e passes gr on to both operands
+                gh_prev = g_inputs[t] = gr
+            g_states[t] += gh_prev
+        # Ball inputs are the masked rows after their projection.
+        g_masked = geo._clip_norm_vjp(traj.masked, limit, g_inputs) if g.is_hyperbolic else g_inputs
     if traj.masks is not None:
         g_masked = g_masked * traj.masks
     np.add.at(grads["embeddings"], traj.sequence, g_masked)
@@ -392,72 +388,59 @@ def _add_pred_grads(
     grads["decoder_weights"] += g_logits.T @ z
     grads["decoder_bias"] += g_logits.sum(axis=0)
     g_z = g_logits @ params.decoder_weights
-    if params.geometry.is_hyperbolic:
-        g_states[1:-1] += geo._log_map_origin_vjp(states, params.geometry.c, g_z)
-    else:
-        g_states[1:-1] += g_z
+    g = params.geometry
+    g_states[1:-1] += geo._log_map_origin_vjp(states, g.c, g_z) if g.is_hyperbolic else g_z
     return value
 
 
+def _dist_sq_grads(
+    geometry: geo.Geometry, x: np.ndarray, y: np.ndarray, weight: float
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """``sum_i d(x_i, y_i)^2``, and ``weight`` times its gradients w.r.t. ``x`` and ``y`` (None when 0).
+
+    ``d`` is the Poincare distance in the ball and the L2 distance in flat space.
+    """
+    if geometry.is_hyperbolic:
+        m = geo.mobius_add(-x, y, geometry.c)
+        d = geo._distance_of_difference(m, geometry.c)
+    else:
+        d = x - y
+    value = float(np.sum(d * d))
+    if weight == 0.0:
+        return value, None, None
+    if geometry.is_hyperbolic:
+        return (value, *geo._poincare_dist_sq_vjp(x, y, m, geometry.c, weight))
+    gd = 2.0 * weight * d
+    return value, gd, -gd
+
+
 def _add_recon_grads(
-    params: ModelParams,
-    clean: HiddenTrajectory,
-    weight: float,
-    g_states: np.ndarray,
-    grads: dict[str, np.ndarray],
+    params: ModelParams, clean: HiddenTrajectory, weight: float, g_states: np.ndarray, grads: dict[str, np.ndarray]
 ) -> float:
     """Reconstruction value and gradients (states via g_states, embeddings direct)."""
     g = params.geometry
     emb = params.embeddings[clean.sequence]
     h_prev, h_cur = clean.states[:-1], clean.states[1:]
-    if g.is_hyperbolic:
-        c = g.c
-        back = geo.mobius_add(h_cur, -emb, c)
-        m = geo.mobius_add(-back, h_prev, c)
-        d = geo._distance_of_difference(m, c)
-        value = float(np.sum(d * d))
-        if weight != 0.0:
-            g_back, g_hprev = geo._poincare_dist_sq_vjp(back, h_prev, m, c, weight)
-            g_hcur, g_negemb = geo._mobius_add_vjp(h_cur, -emb, c, g_back)
-            g_states[1:] += g_hcur
-            g_states[:-1] += g_hprev
-            np.add.at(grads["embeddings"], clean.sequence, -g_negemb)
-        return value
-    delta = h_cur - emb - h_prev
-    value = float(np.sum(delta * delta))
-    if weight != 0.0:
-        gd = 2.0 * weight * delta
-        g_states[1:] += gd
-        g_states[:-1] -= gd
-        np.add.at(grads["embeddings"], clean.sequence, -gd)
+    back = geo.mobius_add(h_cur, -emb, g.c) if g.is_hyperbolic else h_cur - emb
+    value, g_back, g_hprev = _dist_sq_grads(g, back, h_prev, weight)
+    if g_back is not None:
+        if g.is_hyperbolic:
+            g_hcur, g_negemb = geo._mobius_add_vjp(h_cur, -emb, g.c, g_back)
+        else:
+            g_hcur = g_negemb = g_back
+        g_states[1:] += g_hcur
+        g_states[:-1] += g_hprev
+        np.add.at(grads["embeddings"], clean.sequence, -g_negemb)
     return value
 
 
-def _add_consist_grads(
-    params: ModelParams,
-    traj_a: HiddenTrajectory,
-    traj_b: HiddenTrajectory,
-    weight: float,
-    g_a: np.ndarray,
-    g_b: np.ndarray,
-) -> float:
-    g = params.geometry
-    a, b = traj_a.states[1:], traj_b.states[1:]
-    if g.is_hyperbolic:
-        m = geo.mobius_add(-a, b, g.c)
-        d = geo._distance_of_difference(m, g.c)
-        value = float(np.sum(d * d))
-        if weight != 0.0:
-            ga, gb = geo._poincare_dist_sq_vjp(a, b, m, g.c, weight)
-            g_a[1:] += ga
-            g_b[1:] += gb
-        return value
-    delta = a - b
-    value = float(np.sum(delta * delta))
-    if weight != 0.0:
-        gd = 2.0 * weight * delta
-        g_a[1:] += gd
-        g_b[1:] -= gd
+def _add_consist_grads(params: ModelParams, traj_a: HiddenTrajectory, traj_b: HiddenTrajectory, weight: float,
+                       g_a: np.ndarray, g_b: np.ndarray) -> float:
+    """Consistency value and gradients (both passes' states via g_a and g_b)."""
+    value, ga, gb = _dist_sq_grads(params.geometry, traj_a.states[1:], traj_b.states[1:], weight)
+    if ga is not None:
+        g_a[1:] += ga
+        g_b[1:] += gb
     return value
 
 

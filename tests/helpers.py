@@ -1,6 +1,7 @@
 """Shared test utilities: tiny models, ball samplers, finite-difference gradients,
 document corruption and the schema version 1 form, the per-step reference
-recurrence built from the public geometry functions, the per-row
+recurrence built from the public geometry functions and the reference
+reconstruction and consistency heads, the per-row
 reference rankers and silhouette, the per-trial additivity curve,
 the per-pattern occurrence scan and per-occurrence composition, and the
 skip-gram pair loss and per-pair training loop."""
@@ -113,9 +114,12 @@ def ball_points(rng: np.random.Generator, n: int, dim: int, c: float,
 # ---------------------------------------------------------------------------
 #
 # The recurrence as first written: every step calls the public, validating
-# geometry functions on 1-row arrays. ``model.forward`` and
-# ``model._backward_through_trajectory`` run the same arithmetic through
-# unchecked row kernels and must match these byte for byte.
+# geometry functions on 1-row arrays, with one loop per geometry.
+# ``model.forward`` and ``model._backward_through_trajectory`` run the same
+# arithmetic through unchecked row kernels and must match these byte for
+# byte. The reconstruction and consistency heads as first written, with a
+# flat and a ball copy each: the model's shared squared-distance head must
+# match them byte for byte too.
 
 
 def reference_forward(params, seq, dropout=None) -> HiddenTrajectory:
@@ -172,6 +176,56 @@ def reference_backward(params, traj, g_states, acc) -> None:
     if traj.masks is not None:
         g_masked = g_masked * traj.masks
     np.add.at(acc["embeddings"], traj.sequence, g_masked)
+
+
+def reference_recon_grads(params, clean, weight, g_states, grads) -> float:
+    """The reconstruction head as first written, one flat and one ball copy."""
+    g = params.geometry
+    emb = params.embeddings[clean.sequence]
+    h_prev, h_cur = clean.states[:-1], clean.states[1:]
+    if g.is_hyperbolic:
+        c = g.c
+        back = geo.mobius_add(h_cur, -emb, c)
+        m = geo.mobius_add(-back, h_prev, c)
+        d = geo._distance_of_difference(m, c)
+        value = float(np.sum(d * d))
+        if weight != 0.0:
+            g_back, g_hprev = geo._poincare_dist_sq_vjp(back, h_prev, m, c, weight)
+            g_hcur, g_negemb = geo._mobius_add_vjp(h_cur, -emb, c, g_back)
+            g_states[1:] += g_hcur
+            g_states[:-1] += g_hprev
+            np.add.at(grads["embeddings"], clean.sequence, -g_negemb)
+        return value
+    delta = h_cur - emb - h_prev
+    value = float(np.sum(delta * delta))
+    if weight != 0.0:
+        gd = 2.0 * weight * delta
+        g_states[1:] += gd
+        g_states[:-1] -= gd
+        np.add.at(grads["embeddings"], clean.sequence, -gd)
+    return value
+
+
+def reference_consist_grads(params, traj_a, traj_b, weight, g_a, g_b) -> float:
+    """The consistency head as first written, one flat and one ball copy."""
+    g = params.geometry
+    a, b = traj_a.states[1:], traj_b.states[1:]
+    if g.is_hyperbolic:
+        m = geo.mobius_add(-a, b, g.c)
+        d = geo._distance_of_difference(m, g.c)
+        value = float(np.sum(d * d))
+        if weight != 0.0:
+            ga, gb = geo._poincare_dist_sq_vjp(a, b, m, g.c, weight)
+            g_a[1:] += ga
+            g_b[1:] += gb
+        return value
+    delta = a - b
+    value = float(np.sum(delta * delta))
+    if weight != 0.0:
+        gd = 2.0 * weight * delta
+        g_a[1:] += gd
+        g_b[1:] -= gd
+    return value
 
 
 # ---------------------------------------------------------------------------

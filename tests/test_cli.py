@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from event2vec import fileio
 from event2vec.cli import run
 from event2vec.geometry import Geometry
 from event2vec.lifepath import default_graph
@@ -261,6 +262,32 @@ class TestExitCodes:
         assert str(graph) in err and named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where,value,named", [
+        ("max_len", 3.7, "max_len"),
+        ("max_len", 16.0, "max_len"),
+        ("max_len", True, "max_len"),
+        ("max_len", "12", "max_len"),
+        ("explore_prob", "0.5", "explore_prob"),
+        ("explore_prob", True, "explore_prob"),
+        ("weight", "2", "transition weight 'birth'->"),
+        ("weight", True, "transition weight 'birth'->"),
+    ])
+    def test_mistyped_graph_value_is_data_error(self, tmp_path, capsys, where, value, named):
+        # JSON integers for max_len, JSON numbers for explore_prob and the
+        # weights: no coercion from floats, booleans or strings.
+        doc = default_graph().to_dict()
+        if where == "weight":
+            doc["transitions"]["birth"][0][1] = value
+        else:
+            doc[where] = value
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(doc))
+        out = tmp_path / "walks.jsonl"
+        assert run(["gen-life", "--graph", str(graph), "--n", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(graph) in err and named in err
+        assert not out.exists()
+
     def test_huge_integer_in_an_array_names_the_field(self, workdir, tmp_path, capsys):
         state = tmp_path / "state.json"
         base = ["train", "--data", workdir["data"], "--dim", "4", "--seed", "0"]
@@ -462,6 +489,20 @@ class TestTrain:
             == 0
         )
         assert open(out, "rb").read() == open(workdir["model"], "rb").read()
+
+    def test_final_checkpoint_is_written_once(self, workdir, tmp_path, monkeypatch, capsys):
+        writes = []
+        write = fileio.atomic_write_text
+
+        def counting(path, *parts):
+            writes.append(path)
+            write(path, *parts)
+
+        monkeypatch.setattr(fileio, "atomic_write_text", counting)
+        out = str(tmp_path / "m.json")
+        assert run(["train", "--data", workdir["data"], "--out", out, "--epochs", "1", "--dim", "3"]) == 0
+        assert writes == [out]
+        assert load_checkpoint(out).dim == 3
 
     def test_config_file_with_flag_override(self, workdir, tmp_path, capsys):
         config = tmp_path / "config.json"

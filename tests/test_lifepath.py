@@ -81,6 +81,12 @@ class TestTransitionGraph:
         g = chain_graph(explore=0.25, max_len=7)
         assert TransitionGraph.from_dict(g.to_dict()) == g
 
+    def test_from_dict_takes_integers_as_numbers(self):
+        doc = chain_graph().to_dict()
+        doc["explore_prob"], doc["transitions"]["a"][0][1] = 1, 2
+        g = TransitionGraph.from_dict(doc)
+        assert g.explore_prob == 1.0 and g.transitions["a"] == (("b", 2.0),)
+
     def test_from_dict_rejects_missing_keys(self):
         with pytest.raises(DataFormatError):
             TransitionGraph.from_dict({"events": ["a"]})

@@ -4,7 +4,8 @@
 the ball and clipped-flat recurrences with ``geometry._*_row`` kernels.
 Sources of truth here:
 - the per-step reference loop in ``helpers`` (public functions on 1-row
-  arrays), which trajectories and gradients must match byte for byte;
+  arrays) and the reference reconstruction and consistency heads, which
+  trajectories and gradients must match byte for byte, clipped or not;
 - the vectorized public functions, which every kernel must match byte
   for byte on random and near-boundary rows.
 """
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 from event2vec import DropoutSpec, Geometry, ModelParams, Vocabulary, clip_norm, mobius_add, project_to_ball
 from event2vec import geometry as geo
 from event2vec import model
-from helpers import ball_points, reference_backward, reference_forward, tiny_params
+from helpers import (ball_points, reference_backward, reference_consist_grads, reference_forward,
+                     reference_recon_grads, tiny_params)
 
 SEQ = np.array([3, 3, 5, 4, 3, 3, 3, 5, 1, 4, 4, 0])
 
@@ -36,7 +38,10 @@ CASES = {
     "ball-c1": lambda: _near_boundary_params(Geometry("hyperbolic", c=1.0)),
     "ball-c2": lambda: _near_boundary_params(Geometry("hyperbolic", c=2.0)),
     "flat-clipped": lambda: tiny_params(1, Geometry("euclidean", max_norm=0.3), vocab_size=6, dim=5, scale=0.2),
+    "flat": lambda: tiny_params(1, Geometry("euclidean"), vocab_size=6, dim=5, scale=0.2),
+    "flat-never-fires": lambda: tiny_params(1, Geometry("euclidean", max_norm=10.0), vocab_size=6, dim=5, scale=0.2),
 }
+CLIPPED = {"ball-c1", "ball-c2", "flat-clipped"}
 
 
 def _passes(rate):
@@ -59,8 +64,11 @@ def test_forward_matches_reference_byte_for_byte(case, rate):
             got, want = model.forward(params, seq, spec), reference_forward(params, seq, spec)
             for field in ("states", "raw_states", "inputs"):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
-        # The clip or projection fired on some steps of the full pass, not on all.
-        assert 0 < _fired(got).sum() < len(SEQ)
+        if case in CLIPPED:
+            # The clip or projection fired on some steps of the full pass, not on all.
+            assert 0 < _fired(got).sum() < len(SEQ)
+        else:
+            assert _fired(got).sum() == 0
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.1])
@@ -73,6 +81,8 @@ def test_gradients_match_reference_byte_for_byte(case, rate, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(model, "forward", reference_forward)
             m.setattr(model, "_backward_through_trajectory", reference_backward)
+            m.setattr(model, "_add_recon_grads", reference_recon_grads)
+            m.setattr(model, "_add_consist_grads", reference_consist_grads)
             want_losses, want = model.gradients(params, seq, 0.8, 1.3, spec)
         assert got_losses == want_losses
         assert sorted(got) == sorted(want)
